@@ -11,7 +11,7 @@ Quick start::
 
     from widthlab import cycle_graph, rankwidth, booleanwidth
     rankwidth(cycle_graph(5)).value      # 2.0
-    booleanwidth(cycle_graph(5)).value   # ~1.58
+    booleanwidth(cycle_graph(5)).value   # 2.0: log2 of 4 unions, the empty one included
 
 Command line: ``widthlab gen | width | lb | exp | oracle | check``.
 """

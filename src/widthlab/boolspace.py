@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import BooleanSpaceOverflow, CapExceeded
 from .gf2 import BitMatrix
-from .graphs import Cut, Graph, _check_cut
+from .graphs import Cut, Graph, _check_cut, _cut_rows
 
 # Closure member cap: 2^20 members covers every cut of graphs up to n = 40.
 DEFAULT_SPACE_CAP = 1 << 20
@@ -76,17 +76,7 @@ def _cut_bool_bits(graph: Graph, bits: int, cap: int = DEFAULT_SPACE_CAP) -> flo
 
 
 def _cut_bool_count_bits(graph: Graph, bits: int, cap: int = DEFAULT_SPACE_CAP) -> int:
-    # Rows masked by the complement have the same distinct-union count as the
-    # gathered cut matrix: reindexing columns is a bijection on union values.
-    comp = bits ^ ((1 << graph.n) - 1)
-    adj = graph._adj
-    words = []
-    b = bits
-    while b:
-        low = b & -b
-        words.append(adj[low.bit_length() - 1] & comp)
-        b ^= low
-    return _closure_size(words, cap)
+    return _closure_size(_cut_rows(graph, bits), cap)
 
 
 def bell(n: int, cap: int = BELL_CAP) -> int:

@@ -14,7 +14,7 @@ import sys
 
 from ._version import __version__
 from .boolspace import bell, galois_number
-from .errors import WidthlabError
+from .errors import ParseError, WidthlabError
 from .gf2 import rank_distribution_oracle
 from .graphs import Graph, emit_edge_list, emit_graph6, parse_edge_list, parse_graph6, _sample_gnp_from
 from .rng import SplitMix64
@@ -69,12 +69,24 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_graphs(path: str, fmt: str) -> list[Graph]:
+def _graph_texts(path: str, fmt: str) -> list[tuple[int, str]]:
+    """(first line number, text) of each graph in the input, counted from 1."""
     text = _read_text(path)
     if fmt == "g6":
-        return [parse_graph6(line) for line in text.splitlines() if line.strip()]
-    blocks = [b for b in text.split("\n\n") if b.strip()]
-    return [parse_edge_list(b) for b in blocks]
+        return [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
+    chunks, lineno = [], 1
+    for block in text.split("\n\n"):
+        if block.strip():
+            chunks.append((lineno, block))
+        lineno += block.count("\n") + 2
+    return chunks
+
+
+def _parse_graph(lineno: int, text: str, fmt: str) -> Graph:
+    try:
+        return parse_graph6(text) if fmt == "g6" else parse_edge_list(text)
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}", position=lineno) from exc
 
 
 def _parse_n_list(spec: str) -> tuple[int, ...]:
@@ -84,11 +96,14 @@ def _parse_n_list(spec: str) -> tuple[int, ...]:
         token = token.strip()
         if not token:
             continue
-        if ".." in token:
-            lo, hi = token.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(token))
+        lo, dots, hi = token.partition("..")
+        try:
+            values = range(int(lo), int(hi) + 1) if dots else [int(lo)]
+        except ValueError:
+            raise ValueError(f"bad n list {spec!r}: {token!r} is not n or lo..hi") from None
+        if not values:
+            raise ValueError(f"bad n list {spec!r}: range {token!r} is empty")
+        out.extend(values)
     if not out:
         raise ValueError(f"empty n list {spec!r}")
     return tuple(out)
@@ -98,55 +113,53 @@ def _cmd_gen(args, parser) -> int:
     seed = _resolve_seed(args, parser)
     if args.n < 0:
         parser.error("--n must be nonnegative")
+    if args.count < 0:
+        parser.error("--count must be nonnegative")
     rng = SplitMix64(seed)
-    chunks = []
-    for _ in range(args.count):
-        graph = _sample_gnp_from(rng, args.n)
-        if args.format == "g6":
-            chunks.append(emit_graph6(graph) + "\n")
-        else:
-            chunks.append(emit_edge_list(graph) + "\n")
-    sys.stdout.write("".join(chunks).rstrip("\n") + "\n")
+    emit = emit_graph6 if args.format == "g6" else emit_edge_list
+    text = "\n".join(emit(_sample_gnp_from(rng, args.n)) for _ in range(args.count))
+    if text:
+        sys.stdout.write(text.rstrip("\n") + "\n")
     return 0
 
 
-def _cmd_width(args, parser) -> int:
-    f = _MEASURES[args.measure]
-    failed = False
-    for idx, graph in enumerate(_load_graphs(args.input, args.input_format)):
-        try:
-            result = exact_f_width(graph, f, args.cap)
-        except WidthlabError as exc:
-            print(f"{idx} error: {exc}", file=sys.stderr)
-            failed = True
-            continue
-        sys.stdout.write(f"{idx} {_format_value(args.measure, result.value)}\n")
-        if args.witness:
-            sys.stdout.write(emit_tree(result.witness_tree))
-    return 2 if failed else 0
+def _width_text(graph: Graph, args) -> str:
+    result = exact_f_width(graph, _MEASURES[args.measure], args.cap)
+    text = f"{_format_value(args.measure, result.value)}\n"
+    if args.witness:
+        text += emit_tree(result.witness_tree)
+    return text
 
 
-def _cmd_lb(args, parser) -> int:
-    f = _MEASURES[args.measure]
+def _lb_text(graph: Graph, args) -> str:
+    value, cut = balanced_cut_lower_bound(graph, _MEASURES[args.measure], args.cap)
+    members = " ".join(str(v) for v in cut.members)
+    return f"{_format_value(args.measure, value)} {members}\n"
+
+
+_BATCH = {"width": _width_text, "lb": _lb_text}
+
+
+def _cmd_batch(args, parser) -> int:
+    """Run `width` or `lb` per input graph; a failed graph prints only to stderr."""
     failed = False
-    for idx, graph in enumerate(_load_graphs(args.input, args.input_format)):
+    for idx, (lineno, text) in enumerate(_graph_texts(args.input, args.input_format)):
         try:
-            value, cut = balanced_cut_lower_bound(graph, f, args.cap)
+            graph = _parse_graph(lineno, text, args.input_format)
+            sys.stdout.write(f"{idx} {_BATCH[args.command](graph, args)}")
         except (WidthlabError, ValueError) as exc:
             print(f"{idx} error: {exc}", file=sys.stderr)
             failed = True
-            continue
-        members = " ".join(str(v) for v in cut.members)
-        sys.stdout.write(f"{idx} {_format_value(args.measure, value)} {members}\n")
     return 2 if failed else 0
 
 
 def _cmd_check(args, parser) -> int:
-    graphs = _load_graphs(args.input, args.input_format)
-    if not graphs:
-        parser.error("no graph in input")
+    texts = _graph_texts(args.input, args.input_format)
+    if len(texts) != 1:
+        parser.error(f"check takes exactly one graph, input has {len(texts)}")
+    graph = _parse_graph(*texts[0], args.input_format)
     tree = parse_tree(_read_text(args.tree))
-    result = tree_width_under(graphs[0], tree, _MEASURES[args.measure])
+    result = tree_width_under(graph, tree, _MEASURES[args.measure])
     sys.stdout.write(f"{_format_value(args.measure, result.value)}\n")
     return 0
 
@@ -157,22 +170,21 @@ _EXPERIMENTS = {
     "boolw-rw": boolw_vs_rw_experiment,
 }
 
+# table name -> (n list -> Table, per-column float formats for stdout)
+_TABLES = {
+    "envelope": (envelope_curve, {"envelope": "{:.6e}"}),
+    "bell": (lambda ns: bell_asymptotic_check(max(ns)), None),
+}
+
 
 def _cmd_exp(args, parser) -> int:
     n_values = _parse_n_list(args.n_list)
-    if args.experiment == "envelope":
-        table = envelope_curve(n_values)
-        sys.stdout.write(
-            render_table(table, float_formats={"envelope": "{:.6e}"})
-        )
+    if args.experiment in _TABLES:
+        make, float_formats = _TABLES[args.experiment]
+        table = make(n_values)
         if args.out:
             write_table(table, args.format, args.out)
-        return 0
-    if args.experiment == "bell":
-        table = bell_asymptotic_check(max(n_values))
-        sys.stdout.write(render_table(table))
-        if args.out:
-            write_table(table, args.format, args.out)
+        sys.stdout.write(render_table(table, float_formats))
         return 0
 
     seed = _resolve_seed(args, parser)
@@ -269,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {
     "gen": _cmd_gen,
-    "width": _cmd_width,
-    "lb": _cmd_lb,
+    "width": _cmd_batch,
+    "lb": _cmd_batch,
     "check": _cmd_check,
     "exp": _cmd_exp,
     "oracle": _cmd_oracle,
@@ -282,10 +294,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args, parser)
-    except WidthlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
+        return 1
+    except (WidthlabError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -82,22 +83,35 @@ def _validate_config(cfg: ExperimentConfig, min_n: int) -> None:
             raise ValueError(f"n = {n} below the minimum {min_n} for {cfg.name}")
 
 
-def _call_trial(args):
-    worker, cfg, n, t = args
-    return worker(cfg, n, t)
+@dataclass(frozen=True)
+class _Spec:
+    """What sets one experiment apart; `_run_experiment` does the rest.
+
+    `trial(cfg, n, seed)` returns a record's columns after n, trial and seed;
+    `summarize(n, rows)` returns a summary's fields after n and trials.
+    """
+
+    trial: Callable[[ExperimentConfig, int, int], dict]
+    columns: tuple[str, ...]
+    summarize: Callable[[int, list[dict]], dict]
+    min_n: int
+    width_capped: bool
 
 
-def _run_trials(
-    cfg: ExperimentConfig,
-    worker: Callable[[ExperimentConfig, int, int], dict],
-    jobs: int,
-) -> list[dict]:
-    tasks = [(worker, cfg, n, t) for n in cfg.n_values for t in range(cfg.trials)]
+def _call_trial(args) -> dict:
+    trial, cfg, n, t = args
+    seed = mix_seed(cfg.master_seed, n, t)
+    return {"n": n, "trial": t, "seed": seed, **trial(cfg, n, seed)}
+
+
+def _run_trials(cfg: ExperimentConfig, trial: Callable, jobs: int) -> list[dict]:
+    tasks = [(trial, cfg, n, t) for n in cfg.n_values for t in range(cfg.trials)]
     if jobs > 1 and len(tasks) > 1:
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 records = list(pool.map(_call_trial, tasks, chunksize=1))
-        except (OSError, PermissionError):
+        except OSError as exc:
+            print(f"process pool unavailable ({exc}); running trials serially", file=sys.stderr)
             records = [_call_trial(t) for t in tasks]
     else:
         records = [_call_trial(t) for t in tasks]
@@ -105,13 +119,33 @@ def _run_trials(
     return records
 
 
+def _run_experiment(spec: _Spec, cfg: ExperimentConfig, jobs: int) -> ExperimentReport:
+    _validate_config(cfg, spec.min_n)
+    if spec.width_capped:
+        for n in cfg.n_values:
+            if n > cfg.width_cap:
+                raise CapExceeded(f"n = {n} above the exact width cap {cfg.width_cap}")
+    records = _run_trials(cfg, spec.trial, jobs)
+    summaries = []
+    for n in cfg.n_values:
+        rows = [r for r in records if r["n"] == n]
+        summaries.append({"n": n, "trials": len(rows), **spec.summarize(n, rows)})
+    return ExperimentReport(
+        config=cfg,
+        generator=GENERATOR_NAME,
+        version=__version__,
+        columns=spec.columns,
+        records=tuple(records),
+        summaries=tuple(summaries),
+    )
+
+
 # --- minimum submatrix rank under the square random-matrix model ---
 
 LEMMA1_COLUMNS = ("n", "trial", "seed", "mu", "rowset", "colset", "certified")
 
 
-def _lemma1_trial(cfg: ExperimentConfig, n: int, t: int) -> dict:
-    seed = mix_seed(cfg.master_seed, n, t)
+def _lemma1_trial(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     matrix = sample_matrix(n, n, seed)
     m = n // 3
     k = -(-2 * n // 3)
@@ -124,15 +158,22 @@ def _lemma1_trial(cfg: ExperimentConfig, n: int, t: int) -> dict:
             matrix, m, k, cfg.sample_trials, mix_seed(seed, 1)
         )
         certified = False
+    return {"mu": mu, "rowset": list(rset), "colset": list(cset), "certified": certified}
+
+
+def _lemma1_summary(n: int, rows: list[dict]) -> dict:
+    mus = [r["mu"] for r in rows]
     return {
-        "n": n,
-        "trial": t,
-        "seed": seed,
-        "mu": mu,
-        "rowset": list(rset),
-        "colset": list(cset),
-        "certified": certified,
+        "min_mu": min(mus),
+        "median_mu": statistics.median(mus),
+        "mean_mu": statistics.fmean(mus),
+        "max_mu": max(mus),
+        "frac_mu_le_n6": sum(1 for v in mus if v <= n // 6) / len(mus),
+        "certified_all": all(r["certified"] for r in rows),
     }
+
+
+_LEMMA1 = _Spec(_lemma1_trial, LEMMA1_COLUMNS, _lemma1_summary, min_n=3, width_capped=False)
 
 
 def lemma1_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -142,32 +183,7 @@ def lemma1_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     work cap, sampled) submatrices of the stated shape; summarizes the
     minimum's distribution and how often it falls at or below floor(n/6).
     """
-    _validate_config(cfg, min_n=3)
-    records = _run_trials(cfg, _lemma1_trial, jobs)
-    summaries = []
-    for n in cfg.n_values:
-        mus = [r["mu"] for r in records if r["n"] == n]
-        certified = all(r["certified"] for r in records if r["n"] == n)
-        summaries.append(
-            {
-                "n": n,
-                "trials": len(mus),
-                "min_mu": min(mus),
-                "median_mu": statistics.median(mus),
-                "mean_mu": statistics.fmean(mus),
-                "max_mu": max(mus),
-                "frac_mu_le_n6": sum(1 for v in mus if v <= n // 6) / len(mus),
-                "certified_all": certified,
-            }
-        )
-    return ExperimentReport(
-        config=cfg,
-        generator=GENERATOR_NAME,
-        version=__version__,
-        columns=LEMMA1_COLUMNS,
-        records=tuple(records),
-        summaries=tuple(summaries),
-    )
+    return _run_experiment(_LEMMA1, cfg, jobs)
 
 
 # --- widths of random graphs ---
@@ -175,8 +191,7 @@ def lemma1_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
 SCALING_COLUMNS = ("n", "trial", "seed", "rw", "boolw", "lb", "rw_over_n")
 
 
-def _scaling_trial(cfg: ExperimentConfig, n: int, t: int) -> dict:
-    seed = mix_seed(cfg.master_seed, n, t)
+def _scaling_trial(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     graph = sample_gnp_half(n, seed)
     rw = int(exact_f_width(graph, CUT_RANK_FUNCTION, cfg.width_cap).value)
     boolw = exact_f_width(graph, CUT_BOOL_FUNCTION, cfg.width_cap).value
@@ -184,15 +199,23 @@ def _scaling_trial(cfg: ExperimentConfig, n: int, t: int) -> dict:
     lb = int(lb_value)
     if lb > rw:
         raise AssertionError(f"balanced lower bound {lb} above exact rankwidth {rw}")
+    return {"rw": rw, "boolw": boolw, "lb": lb, "rw_over_n": rw / n}
+
+
+def _scaling_summary(n: int, rows: list[dict]) -> dict:
+    rws = [r["rw"] for r in rows]
     return {
-        "n": n,
-        "trial": t,
-        "seed": seed,
-        "rw": rw,
-        "boolw": boolw,
-        "lb": lb,
-        "rw_over_n": rw / n,
+        "min_rw": min(rws),
+        "median_rw": statistics.median(rws),
+        "mean_rw": statistics.fmean(rws),
+        "max_rw": max(rws),
+        "mean_boolw": statistics.fmean(r["boolw"] for r in rows),
+        "max_lb": max(r["lb"] for r in rows),
+        "min_rw_over_n": min(r["rw_over_n"] for r in rows),
     }
+
+
+_SCALING = _Spec(_scaling_trial, SCALING_COLUMNS, _scaling_summary, min_n=3, width_capped=True)
 
 
 def scaling_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -201,36 +224,7 @@ def scaling_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport
     Per trial records rankwidth, booleanwidth, the balanced-cut lower bound
     under cut-rank (asserted <= rankwidth), and rw/n.
     """
-    _validate_config(cfg, min_n=3)
-    for n in cfg.n_values:
-        if n > cfg.width_cap:
-            raise CapExceeded(f"n = {n} above the exact width cap {cfg.width_cap}")
-    records = _run_trials(cfg, _scaling_trial, jobs)
-    summaries = []
-    for n in cfg.n_values:
-        rows = [r for r in records if r["n"] == n]
-        rws = [r["rw"] for r in rows]
-        summaries.append(
-            {
-                "n": n,
-                "trials": len(rows),
-                "min_rw": min(rws),
-                "median_rw": statistics.median(rws),
-                "mean_rw": statistics.fmean(rws),
-                "max_rw": max(rws),
-                "mean_boolw": statistics.fmean(r["boolw"] for r in rows),
-                "max_lb": max(r["lb"] for r in rows),
-                "min_rw_over_n": min(r["rw_over_n"] for r in rows),
-            }
-        )
-    return ExperimentReport(
-        config=cfg,
-        generator=GENERATOR_NAME,
-        version=__version__,
-        columns=SCALING_COLUMNS,
-        records=tuple(records),
-        summaries=tuple(summaries),
-    )
+    return _run_experiment(_SCALING, cfg, jobs)
 
 
 # --- booleanwidth against the subspace-count bound ---
@@ -247,8 +241,7 @@ BOOLW_RW_COLUMNS = (
 )
 
 
-def _boolw_rw_trial(cfg: ExperimentConfig, n: int, t: int) -> dict:
-    seed = mix_seed(cfg.master_seed, n, t)
+def _boolw_rw_trial(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     graph = sample_gnp_half(n, seed)
     rw_res = exact_f_width(graph, CUT_RANK_FUNCTION, cfg.width_cap)
     bw_res = exact_f_width(graph, CUT_BOOL_FUNCTION, cfg.width_cap)
@@ -261,17 +254,25 @@ def _boolw_rw_trial(cfg: ExperimentConfig, n: int, t: int) -> dict:
             r = _cut_rank_bits(graph, cut.bits)
             if count > galois_number(r):
                 violations += 1
-    graph_ok = bw_res.value <= log2_g + 1e-12
     return {
-        "n": n,
-        "trial": t,
-        "seed": seed,
         "rw": rw,
         "boolw": bw_res.value,
         "log2_galois_rw": log2_g,
         "cut_violations": violations,
-        "graph_ok": graph_ok,
+        "graph_ok": bw_res.value <= log2_g + 1e-12,
     }
+
+
+def _boolw_rw_summary(n: int, rows: list[dict]) -> dict:
+    return {
+        "max_rw": max(r["rw"] for r in rows),
+        "max_boolw": max(r["boolw"] for r in rows),
+        "total_cut_violations": sum(r["cut_violations"] for r in rows),
+        "all_graphs_ok": all(r["graph_ok"] for r in rows),
+    }
+
+
+_BOOLW_RW = _Spec(_boolw_rw_trial, BOOLW_RW_COLUMNS, _boolw_rw_summary, min_n=1, width_capped=True)
 
 
 def boolw_vs_rw_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -282,32 +283,7 @@ def boolw_vs_rw_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentRe
     cut_rank(X)-dimensional GF(2) space, and per graph that booleanwidth is
     at most log2 of the Galois number of the rankwidth.
     """
-    _validate_config(cfg, min_n=1)
-    for n in cfg.n_values:
-        if n > cfg.width_cap:
-            raise CapExceeded(f"n = {n} above the exact width cap {cfg.width_cap}")
-    records = _run_trials(cfg, _boolw_rw_trial, jobs)
-    summaries = []
-    for n in cfg.n_values:
-        rows = [r for r in records if r["n"] == n]
-        summaries.append(
-            {
-                "n": n,
-                "trials": len(rows),
-                "max_rw": max(r["rw"] for r in rows),
-                "max_boolw": max(r["boolw"] for r in rows),
-                "total_cut_violations": sum(r["cut_violations"] for r in rows),
-                "all_graphs_ok": all(r["graph_ok"] for r in rows),
-            }
-        )
-    return ExperimentReport(
-        config=cfg,
-        generator=GENERATOR_NAME,
-        version=__version__,
-        columns=BOOLW_RW_COLUMNS,
-        records=tuple(records),
-        summaries=tuple(summaries),
-    )
+    return _run_experiment(_BOOLW_RW, cfg, jobs)
 
 
 # --- deterministic tabulations ---
@@ -398,36 +374,35 @@ def write_report(report: ExperimentReport, fmt: str, path) -> None:
     final object carrying config, generator, version and summaries.
     """
     if fmt == "csv":
-        text = _report_csv(report)
+        rows = ([rec[c] for c in report.columns] for rec in report.records)
+        lines = _config_lines(report.config) + _csv_lines(report.columns, rows)
     elif fmt == "jsonl":
-        text = _report_jsonl(report)
+        tail = {
+            "config": _config_dict(report.config),
+            "generator": report.generator,
+            "version": report.version,
+            "summaries": list(report.summaries),
+        }
+        lines = _json_lines([*report.records, tail])
     else:
         raise ValueError(f"unknown report format {fmt!r}")
+    _write_lines(path, lines, "report")
+
+
+def _csv_lines(columns: tuple[str, ...], rows) -> list[str]:
+    return [",".join(columns)] + [",".join(_format_cell(v) for v in row) for row in rows]
+
+
+def _json_lines(objects) -> list[str]:
+    return [json.dumps(obj, separators=(",", ":")) for obj in objects]
+
+
+def _write_lines(path, lines: list[str], what: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.write("".join(line + "\n" for line in lines))
     except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
-
-
-def _report_csv(report: ExperimentReport) -> str:
-    lines = _config_lines(report.config)
-    lines.append(",".join(report.columns))
-    for rec in report.records:
-        lines.append(",".join(_format_cell(rec[c]) for c in report.columns))
-    return "\n".join(lines) + "\n"
-
-
-def _report_jsonl(report: ExperimentReport) -> str:
-    lines = [json.dumps(rec, separators=(",", ":")) for rec in report.records]
-    tail = {
-        "config": _config_dict(report.config),
-        "generator": report.generator,
-        "version": report.version,
-        "summaries": list(report.summaries),
-    }
-    lines.append(json.dumps(tail, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def render_summary(report: ExperimentReport) -> str:
@@ -472,16 +447,9 @@ def render_table(table: Table, float_formats: dict[str, str] | None = None) -> s
 def write_table(table: Table, fmt: str, path) -> None:
     """Write a Table as CSV (full-precision cells) or JSON lines."""
     if fmt == "csv":
-        lines = [",".join(table.columns)]
-        for row in table.rows:
-            lines.append(",".join(_format_cell(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        lines = _csv_lines(table.columns, table.rows)
     elif fmt == "jsonl":
-        text = "".join(
-            json.dumps(dict(zip(table.columns, row)), separators=(",", ":")) + "\n"
-            for row in table.rows
-        )
+        lines = _json_lines(dict(zip(table.columns, row)) for row in table.rows)
     else:
         raise ValueError(f"unknown table format {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write_lines(path, lines, "table")

@@ -191,8 +191,13 @@ def cut_rank(graph: Graph, cut: Cut) -> int:
 
 
 def _cut_rank_bits(graph: Graph, bits: int) -> int:
-    # Masking by the complement keeps column positions; extra zero columns
-    # leave GF(2) rank unchanged, so no gather is needed.
+    return _rank_of_words(_cut_rows(graph, bits))
+
+
+def _cut_rows(graph: Graph, bits: int) -> list[int]:
+    # Rows of the side `bits`, ascending, masked by the complement.  Masking
+    # keeps column positions instead of gathering them: the extra zero columns
+    # change neither the GF(2) rank nor the number of distinct unions.
     comp = bits ^ ((1 << graph.n) - 1)
     adj = graph._adj
     words = []
@@ -201,7 +206,7 @@ def _cut_rank_bits(graph: Graph, bits: int) -> int:
         low = b & -b
         words.append(adj[low.bit_length() - 1] & comp)
         b ^= low
-    return _rank_of_words(words)
+    return words
 
 
 # --- named graphs used throughout tests and demos ---

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from widthlab import complete_graph, cycle_graph, emit_graph6, path_graph
+from widthlab import complete_graph, cycle_graph, emit_edge_list, emit_graph6, path_graph
 
 from conftest import run_cli
 
@@ -218,3 +218,82 @@ class TestDeterminismAcrossCommands:
             ["exp", "envelope", "--n-list", "3..20"],
         ):
             assert run_cli(args) == run_cli(args)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exp", "lemma1", "--seed", "1", "--n-list", "5..3"],
+            ["exp", "lemma1", "--seed", "1", "--n-list", "abc"],
+            ["exp", "lemma1", "--seed", "1", "--n-list", "6.."],
+            ["exp", "lemma1", "--seed", "1", "--n-list", "6", "--trials", "0"],
+            ["width", "--input", "{missing}"],
+            ["oracle", "bell", "--n", "-1"],
+            ["oracle", "galois", "--r", "-1"],
+            ["oracle", "rankdist", "--m", "-1", "--n", "2"],
+            ["exp", "lemma1", "--seed", "1", "--n-list", "6", "--trials", "1",
+             "--out", "{unwritable}"],
+            ["exp", "envelope", "--n-list", "3..5", "--out", "{unwritable}"],
+            ["exp", "bell", "--n-list", "600"],
+        ],
+    )
+    def test_one_line_exit_1(self, tmp_path, argv):
+        paths = {"{missing}": str(tmp_path / "missing.g6"),
+                 "{unwritable}": str(tmp_path / "no-dir" / "out.csv")}
+        code, out, err = run_cli([paths.get(a, a) for a in argv])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_bad_n_list_is_named(self):
+        _, _, err = run_cli(["exp", "envelope", "--n-list", "3,abc"])
+        assert "'3,abc'" in err and "'abc'" in err
+
+
+def _bad_graph_input(fmt):
+    """Two good graphs around one malformed one; the bad graph's first line."""
+    if fmt == "g6":
+        good = [emit_graph6(cycle_graph(6)) + "\n", emit_graph6(complete_graph(5)) + "\n"]
+        return good, good[0] + "I??bad\n" + good[1], 2
+    good = [emit_edge_list(cycle_graph(6)), emit_edge_list(complete_graph(5))]
+    return good, good[0] + "\n3\n0 x\n\n" + good[1], 9
+
+
+class TestPerGraphParseErrors:
+    @pytest.mark.parametrize("fmt", ["g6", "edges"])
+    @pytest.mark.parametrize("command", [["width"], ["width", "--measure", "bool"], ["lb"]])
+    def test_bad_graph_skipped_with_line(self, tmp_path, fmt, command):
+        good, text, bad_line = _bad_graph_input(fmt)
+        bad_path, good_path = tmp_path / "bad.txt", tmp_path / "good.txt"
+        bad_path.write_text(text)
+        good_path.write_text("\n".join(good) if fmt == "edges" else "".join(good))
+        fmt_args = ["--input-format", fmt]
+        code, out, err = run_cli(command + ["--input", str(bad_path)] + fmt_args)
+        _, good_out, _ = run_cli(command + ["--input", str(good_path)] + fmt_args)
+        assert code == 2
+        assert [ln.split()[0] for ln in out.splitlines()] == ["0", "2"]
+        assert [ln.split(" ", 1)[1] for ln in out.splitlines()] == [
+            ln.split(" ", 1)[1] for ln in good_out.splitlines()
+        ]
+        assert err.startswith(f"1 error: line {bad_line}: ") and err.count("\n") == 1
+
+
+class TestCounts:
+    def test_check_rejects_two_graphs(self, tmp_path):
+        gpath = write_graphs(tmp_path, [cycle_graph(6), cycle_graph(6)])
+        one = write_graphs(tmp_path, [cycle_graph(6)], "one.g6")
+        _, out, _ = run_cli(["width", "--input", one, "--witness"])
+        tpath = tmp_path / "w.tree"
+        tpath.write_text("\n".join(out.splitlines()[1:]) + "\n")
+        code, out, err = run_cli(["check", "--input", gpath, "--tree", str(tpath)])
+        assert (code, out) == (2, "")
+        assert "exactly one graph" in err
+
+    def test_gen_negative_count_is_usage_error(self):
+        code, out, err = run_cli(["gen", "--n", "3", "--seed", "1", "--count", "-1"])
+        assert (code, out) == (2, "")
+        assert "--count" in err
+
+    def test_gen_zero_count_writes_nothing(self):
+        assert run_cli(["gen", "--n", "3", "--seed", "1", "--count", "0"]) == (0, "", "")

@@ -246,3 +246,18 @@ class TestReportSerialization:
         t = envelope_curve([10])
         out = render_table(t, float_formats={"envelope": "{:.6e}"})
         assert "1.624195e-16" in out
+
+
+class TestPoolFallback:
+    def test_serial_fallback_is_announced_and_identical(self, monkeypatch, capsys):
+        import widthlab.experiments
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pool here")
+
+        cfg = small_cfg("lemma1", n_values=(6, 9), trials=2)
+        serial = lemma1_experiment(cfg, jobs=1)
+        monkeypatch.setattr(widthlab.experiments, "ProcessPoolExecutor", no_pool)
+        assert lemma1_experiment(cfg, jobs=2) == serial
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "serially" in err
