@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import groupby
 
 from ._version import __version__
 from .boolspace import bell, galois_number
@@ -70,15 +71,19 @@ def _read_text(path: str) -> str:
 
 
 def _graph_texts(path: str, fmt: str) -> list[tuple[int, str]]:
-    """(first line number, text) of each graph in the input, counted from 1."""
-    text = _read_text(path)
+    """(first line number, text) of each graph in the input, counted from 1.
+
+    A graph6 graph is one non-blank line; an edge-list graph is a block of
+    lines, and blocks are separated by runs of blank or whitespace-only lines.
+    """
+    numbered = list(enumerate(_read_text(path).splitlines(), 1))
     if fmt == "g6":
-        return [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
-    chunks, lineno = [], 1
-    for block in text.split("\n\n"):
-        if block.strip():
-            chunks.append((lineno, block))
-        lineno += block.count("\n") + 2
+        return [(i, line) for i, line in numbered if line.strip()]
+    chunks = []
+    for blank, run in groupby(numbered, key=lambda item: not item[1].strip()):
+        if not blank:
+            block = list(run)
+            chunks.append((block[0][0], "\n".join(line for _, line in block)))
     return chunks
 
 

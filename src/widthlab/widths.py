@@ -18,6 +18,18 @@ inside S.  This matches the edge semantics: the tree edge above the subtree
 with leaf set Si separates Si from everything else in V.  Evaluating f
 within S is the classic mistake and gives wrong widths; see the worked
 example in tests/test_widths.py.
+
+The engine tabulates only g[S] = max(f(S), c(S)), so that
+c(S) = min max(g[T], g[S \\ T]).  For each S the side T runs in increasing
+order over the non-empty subsets of S without its top bit, which visits
+every bipartition once.  Two prunings leave g exact: a side with
+g[T] >= best cannot strictly improve the best split found so far, and the
+scan of S stops as soon as best <= f(S), because then g[S] = f(S) whatever
+c(S) is.  Early stops leave c(S) itself unknown, so the witness tree is
+rebuilt from the exact g afterwards, by a full ascending scan at each of the
+tree's own n - 1 splits (the root and the n - 2 internal nodes): at most
+n * 2^(n-1) lookups.  Ties between optimal splits resolve to the
+numerically smallest side, so the witness is deterministic.
 """
 
 from __future__ import annotations
@@ -259,10 +271,15 @@ def exact_f_width(
 ) -> WidthResult:
     """Exact minimum f-width over all decomposition trees, with witnesses.
 
-    Subset dynamic programming, O(3^n) split enumerations with f memoized in
-    a 2^n table; f is evaluated against the global complement throughout.
-    Ties between optimal splits resolve to the numerically smallest side, so
-    the witness tree is deterministic.
+    Subset dynamic programming over the exact table g[S] = max(f(S), c(S)),
+    at most O(3^n) side lookups with f memoized in a 2^n table and evaluated
+    against the global complement throughout.  The sides T of S run in
+    increasing order over the non-empty subsets of S without its top bit;
+    a side with g[T] >= best is skipped, and the scan of S stops once
+    best <= f(S).  The witness tree is rebuilt from g, top-down, by a full
+    scan at each of its internal nodes only, and re-evaluated with
+    tree_width_under.  Ties between optimal splits resolve to the
+    numerically smallest side, so the witness tree is deterministic.
     """
     n = graph.n
     if n > n_cap:
@@ -274,8 +291,13 @@ def exact_f_width(
     size = 1 << n
     full = size - 1
     fval = [0.0] * size
+    # One object per distinct value: 2^n separate floats fragment the heap.
+    # The type in the key keeps an int-valued function's ints, and zeros are
+    # left as returned so that 0.0 and -0.0 are never merged.
+    interned: dict[tuple[type, float], float] = {}
     for s in range(1, full):
-        fval[s] = ev(s)
+        v = ev(s)
+        fval[s] = interned.setdefault((type(v), v), v) if v else v
     for s in range(size // 2):
         a, b = fval[s], fval[full ^ s]
         if not math.isclose(a, b, rel_tol=_SYMMETRY_TOL, abs_tol=_SYMMETRY_TOL):
@@ -283,59 +305,60 @@ def exact_f_width(
                 f"cut function {f.name!r} is not symmetric at subset {s:#x}: {a} vs {b}"
             )
 
-    g = [0.0] * size  # g[S] = max(fval[S], c[S]) once S is finalized
-    split = [0] * size
-    best_val = [0.0] * size
-    for s in range(1, size):
-        if s.bit_count() == 1:
-            g[s] = fval[s]
-            continue
-        low = s & -s
-        rest = s ^ low
-        best = math.inf
-        best_side = 0
-        sub = rest
-        while True:
-            s1 = sub | low
-            s2 = s ^ s1
-            if s2:
-                a = g[s1]
-                b = g[s2]
-                m = a if a >= b else b
-                if m < best:
-                    best = m
-                    best_side = s1 if s1 <= s2 else s2
-                elif m == best:
-                    cand = s1 if s1 <= s2 else s2
-                    if cand < best_side:
-                        best_side = cand
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-        split[s] = best_side
-        best_val[s] = best
-        fs = fval[s]
-        g[s] = best if best >= fs else fs
+    g = fval[:]  # exact for singletons; the loop fills every larger S < full
+    for s in range(3, full):
+        if s & (s - 1):
+            fs = fval[s]
+            best = _best_split(g, s, fs)[0]
+            if best > fs:
+                g[s] = best
 
-    tree = _tree_from_splits(split, n)
+    value, tree = _witness_tree(g, n)
     check = tree_width_under(graph, tree, f)
-    if check.value != best_val[full]:
-        raise AssertionError(
-            f"witness tree reproduces {check.value}, DP computed {best_val[full]}"
-        )
-    return WidthResult(best_val[full], tree, check.witness_cut)
+    if check.value != value:
+        raise AssertionError(f"witness tree reproduces {check.value}, DP computed {value}")
+    return WidthResult(value, tree, check.witness_cut)
 
 
-def _tree_from_splits(split: list[int], n: int) -> DecompositionTree:
+def _best_split(g: list[float], s: int, stop: float = -math.inf) -> tuple[float, int]:
+    """c(S) and the smallest side T realizing it, by an ascending scan of T.
+
+    T runs over the non-empty subsets of S without its top bit.  The scan
+    ends early at the first split whose value is <= stop.
+    """
+    rest = s ^ (1 << (s.bit_length() - 1))
+    best = math.inf
+    side = 0
+    t = 0
+    while True:
+        t = (t - rest) & rest
+        if not t:
+            return best, side
+        a = g[t]
+        if a < best:
+            b = g[s ^ t]
+            if b < best:
+                best = a if a >= b else b
+                side = t
+                if best <= stop:
+                    return best, side
+
+
+def _witness_tree(g: list[float], n: int) -> tuple[float, DecompositionTree]:
+    """The width c(V) and an optimal tree, rebuilt from the exact table g.
+
+    Only the tree's own nodes are scanned.  Leaf v is node v; internal nodes
+    are numbered n, n+1, ... in post-order, smaller side first.
+    """
     edges: list[tuple[int, int]] = []
     counter = [n]
 
     def build(s: int) -> int:
         if s & (s - 1) == 0:
             return s.bit_length() - 1
-        s1 = split[s]
-        a = build(s1)
-        b = build(s ^ s1)
+        t = _best_split(g, s)[1]
+        a = build(t)
+        b = build(s ^ t)
         node = counter[0]
         counter[0] += 1
         edges.append((a, node))
@@ -343,11 +366,11 @@ def _tree_from_splits(split: list[int], n: int) -> DecompositionTree:
         return node
 
     full = (1 << n) - 1
-    s1 = split[full]
-    a = build(s1)
-    b = build(full ^ s1)
+    value, t = _best_split(g, full)
+    a = build(t)
+    b = build(full ^ t)
     edges.append((a, b))
-    return DecompositionTree(counter[0], edges, {v: v for v in range(n)})
+    return value, DecompositionTree(counter[0], edges, {v: v for v in range(n)})
 
 
 def _subcubic_trees(n: int):

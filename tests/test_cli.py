@@ -279,6 +279,30 @@ class TestPerGraphParseErrors:
         assert err.startswith(f"1 error: line {bad_line}: ") and err.count("\n") == 1
 
 
+class TestEdgeListBlocks:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3\n0 1\n\n\n3\n1 2\n",
+            "3\n0 1\n \n3\n1 2\n",
+            "\n3\n0 1\n\n3\n1 2\n\n \n",
+            "3\n0 1\n\t\n  \n\n3\n1 2",
+        ],
+    )
+    def test_blank_line_runs_separate_graphs(self, tmp_path, text):
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        code, out, err = run_cli(["width", "--input", str(path), "--input-format", "edges"])
+        assert (code, out, err) == (0, "0 1\n1 1\n", "")
+
+    def test_error_names_first_line_of_block(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_text("\n3\n0 1\n \n\n3\n0 x\n")
+        code, out, err = run_cli(["width", "--input", str(path), "--input-format", "edges"])
+        assert (code, out) == (2, "0 1\n")
+        assert err.startswith("1 error: line 6: ") and err.count("\n") == 1
+
+
 class TestCounts:
     def test_check_rejects_two_graphs(self, tmp_path):
         gpath = write_graphs(tmp_path, [cycle_graph(6), cycle_graph(6)])

@@ -35,6 +35,7 @@ from widthlab import (
 )
 from widthlab.boolspace import _cut_bool_count_bits
 from widthlab.graphs import _cut_rank_bits
+from widthlab.widths import _bits_eval
 
 
 def caterpillar(n):
@@ -184,6 +185,128 @@ class TestExactFWidth:
         b = exact_f_width(g, CUT_RANK_FUNCTION)
         assert emit_tree(a.witness_tree) == emit_tree(b.witness_tree)
         assert a.witness_cut == b.witness_cut
+
+
+def reference_min_max_dp(graph, f):
+    """The full-scan min-max subset DP with split tables: an oracle for exact_f_width.
+
+    Every split of every subset is scanned; ties between optimal splits
+    resolve to the numerically smallest side.  Returns (value, tree).
+    """
+    n = graph.n
+    ev = _bits_eval(graph, f)
+    size = 1 << n
+    full = size - 1
+    fval = [0.0] * size
+    for s in range(1, full):
+        fval[s] = ev(s)
+
+    g = [0.0] * size  # g[S] = max(fval[S], c[S]) once S is finalized
+    split = [0] * size
+    best_val = [0.0] * size
+    for s in range(1, size):
+        if s.bit_count() == 1:
+            g[s] = fval[s]
+            continue
+        low = s & -s
+        rest = s ^ low
+        best = math.inf
+        best_side = 0
+        sub = rest
+        while True:
+            s1 = sub | low
+            s2 = s ^ s1
+            if s2:
+                a = g[s1]
+                b = g[s2]
+                m = a if a >= b else b
+                if m < best:
+                    best = m
+                    best_side = s1 if s1 <= s2 else s2
+                elif m == best:
+                    cand = s1 if s1 <= s2 else s2
+                    if cand < best_side:
+                        best_side = cand
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        split[s] = best_side
+        best_val[s] = best
+        fs = fval[s]
+        g[s] = best if best >= fs else fs
+
+    edges = []
+    counter = [n]
+
+    def build(s):
+        if s & (s - 1) == 0:
+            return s.bit_length() - 1
+        s1 = split[s]
+        a = build(s1)
+        b = build(s ^ s1)
+        node = counter[0]
+        counter[0] += 1
+        edges.append((a, node))
+        edges.append((node, b))
+        return node
+
+    s1 = split[full]
+    a = build(s1)
+    b = build(full ^ s1)
+    edges.append((a, b))
+    return best_val[full], DecompositionTree(counter[0], edges, {v: v for v in range(n)})
+
+
+HALF_MIN_SIDE = CutFunction(
+    name="halfminside",
+    evaluate=lambda g, c: 0.5 * min(c.size, g.n - c.size),
+)
+INT_MIN_SIDE = CutFunction(
+    name="intminside",
+    evaluate=lambda g, c: min(c.size, g.n - c.size),
+)
+
+
+class TestReferenceDPOracle:
+    """exact_f_width prunes its scans and rebuilds the witness from g alone;
+    value, value type and witness tree text must match the full-scan DP."""
+
+    def assert_same(self, graph, f):
+        res = exact_f_width(graph, f)
+        value, tree = reference_min_max_dp(graph, f)
+        assert repr(res.value) == repr(value)
+        assert type(res.value) is type(value)
+        assert emit_tree(res.witness_tree) == emit_tree(tree)
+        assert res.witness_tree.edges == tree.edges
+
+    def test_random_graphs(self):
+        rng = SplitMix64(4242)
+        for n in range(2, 12):
+            for _ in range(6 if n <= 9 else 3):
+                g = sample_gnp_half(n, rng.next_word())
+                for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                    self.assert_same(g, f)
+
+    def test_named_graphs(self):
+        for n in range(2, 12):
+            named = [complete_graph(n), path_graph(n), empty_graph(n)]
+            if n >= 3:
+                named.append(cycle_graph(n))
+            for g in named:
+                for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                    self.assert_same(g, f)
+
+    def test_tie_heavy_custom_functions(self):
+        rng = SplitMix64(5353)
+        for n in range(2, 12):
+            g = sample_gnp_half(n, rng.next_word())
+            for f in (HALF_MIN_SIDE, INT_MIN_SIDE):
+                self.assert_same(g, f)
+
+    def test_int_function_keeps_int(self):
+        res = exact_f_width(sample_gnp_half(8, 12), INT_MIN_SIDE)
+        assert type(res.value) is int
+        assert res.value == 3
 
 
 class TestBruteForceOracle:
