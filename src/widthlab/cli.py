@@ -16,7 +16,7 @@ from itertools import groupby
 from ._version import __version__
 from .boolspace import bell, galois_number
 from .errors import ParseError, WidthlabError
-from .gf2 import rank_distribution_oracle
+from .gf2 import DEFAULT_PAIR_CAP, rank_distribution_oracle
 from .graphs import Graph, emit_edge_list, emit_graph6, parse_edge_list, parse_graph6, _sample_gnp_from
 from .rng import SplitMix64
 from .experiments import (
@@ -269,7 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p_exp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_exp.add_argument("--width-cap", type=int, default=16)
-    p_exp.add_argument("--work-cap", type=int, default=10**9)
+    p_exp.add_argument(
+        "--work-cap",
+        type=int,
+        default=DEFAULT_PAIR_CAP,
+        help="lemma1 runs exhaustively while C(n,m)*2^m + C(n,k) is at most this",
+    )
 
     p_oracle = sub.add_parser("oracle", help="exact counting oracles")
     oracle_sub = p_oracle.add_subparsers(dest="oracle", required=True)

@@ -16,7 +16,6 @@ import json
 import math
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -26,6 +25,7 @@ from .boolspace import _cut_bool_count_bits, bell, galois_number, log2_int
 from .errors import CapExceeded
 from .gf2 import (
     DEFAULT_PAIR_CAP,
+    exhaustive_work,
     min_submatrix_rank_exhaustive,
     min_submatrix_rank_sampled,
     sample_matrix,
@@ -107,6 +107,9 @@ def _call_trial(args) -> dict:
 def _run_trials(cfg: ExperimentConfig, trial: Callable, jobs: int) -> list[dict]:
     tasks = [(trial, cfg, n, t) for n in cfg.n_values for t in range(cfg.trials)]
     if jobs > 1 and len(tasks) > 1:
+        # imported here: multiprocessing costs serial runs memory and start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 records = list(pool.map(_call_trial, tasks, chunksize=1))
@@ -149,8 +152,7 @@ def _lemma1_trial(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     matrix = sample_matrix(n, n, seed)
     m = n // 3
     k = -(-2 * n // 3)
-    pairs = math.comb(n, m) * math.comb(n, k)
-    if cfg.mode == "exhaustive" and pairs <= cfg.work_cap:
+    if cfg.mode == "exhaustive" and exhaustive_work(n, n, m, k) <= cfg.work_cap:
         mu, rset, cset = min_submatrix_rank_exhaustive(matrix, m, k, cfg.work_cap)
         certified = True
     else:

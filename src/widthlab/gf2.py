@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 from .errors import CapExceeded
 from .rng import SplitMix64
 
-# Default ceiling on C(rows, m) * C(cols, k) pairs scanned by the exhaustive
-# submatrix minimizer.  Explicit configuration, never silently truncated.
+# Default ceiling on `exhaustive_work` of the exhaustive submatrix minimizer.
+# Explicit configuration, never silently truncated.
 DEFAULT_PAIR_CAP = 10**9
 
 # Exhaustive rank-distribution enumeration walks all 2**(m*n) matrices.
@@ -188,6 +188,45 @@ def rank_distribution_oracle(m: int, n: int) -> list[Fraction]:
     return [Fraction(c, total) for c in counts]
 
 
+def exhaustive_work(rows: int, cols: int, m: int, k: int) -> int:
+    """Work units of `min_submatrix_rank_exhaustive` for an m x k minimum.
+
+    C(rows, m) * 2**m row combinations walked, plus C(cols, k) column sets
+    scanned once for the witness.  The experiments compare this count with
+    their work cap to choose between an exhaustive and a sampled trial.
+    """
+    return math.comb(rows, m) * (1 << m) + math.comb(cols, k)
+
+
+def _max_fit_dim(combos: list[tuple[int, int]], budget: int, floor: int) -> int:
+    """Largest dim X_U over |U| <= budget, where X_U = {x : supp(xR) <= U}.
+
+    `combos` holds the (x, xR) pairs whose product fits the budget alone.
+    Returns `floor` when no X_U has a larger dimension.  The search runs over
+    unions U of fitting supports, from U = 0 (whose X_U is the kernel), adding
+    one support at a time; each U is visited once, and one whose fitting x
+    span too little is not extended.  Independence is always tested on the
+    combinations x, never on the products xR: dependent rows give distinct x
+    with equal products.
+    """
+    best = floor
+    seen = {0}
+    stack = [(0, combos)]
+    while stack:
+        used, parent = stack.pop()
+        fits = [c for c in parent if (used | c[1]).bit_count() <= budget]
+        # a subspace of dimension best + 1 has 2**(best + 1) - 1 nonzero members
+        if len(fits) < (1 << (best + 1)) - 1 or _rank_of_words(x for x, _ in fits) <= best:
+            continue
+        best = max(best, _rank_of_words(x for x, p in fits if not p & ~used))
+        for _, p in fits:
+            grown = used | p
+            if grown not in seen:
+                seen.add(grown)
+                stack.append((grown, fits))
+    return best
+
+
 def min_submatrix_rank_exhaustive(
     matrix: BitMatrix,
     m: int,
@@ -196,57 +235,59 @@ def min_submatrix_rank_exhaustive(
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Exact minimum GF(2) rank over all m x k submatrices, with a witness.
 
-    Scans C(rows, m) * C(cols, k) submatrices; the witness is the first pair
-    achieving the minimum in lexicographic (rowset, colset) order.  Raises
-    CapExceeded when the scan would exceed `pair_cap`.
+    For a row set R and a column set C, rank(R[:,C]) = m - dim{x : supp(xR)
+    is disjoint from C}.  So a row set's minimum is m minus the largest
+    dim X_U = {x : supp(xR) <= U} over column sets U of at most cols - k
+    columns, found from R's 2**m row combinations without scanning columns.
+
+    The witness is the first pair achieving the minimum in lexicographic
+    (rowset, colset) order, as a scan of every pair would find it: row sets
+    are searched in `combinations` order and one is taken only when it
+    strictly beats the best so far, then the winning row set's column sets
+    are scanned in order for the first of that rank.  Raises CapExceeded when
+    `exhaustive_work` exceeds `pair_cap`.
     """
     if not 0 <= m <= matrix.rows:
         raise ValueError(f"need 0 <= m <= {matrix.rows}, got {m}")
     if not 0 <= k <= matrix.cols:
         raise ValueError(f"need 0 <= k <= {matrix.cols}, got {k}")
-    pairs = math.comb(matrix.rows, m) * math.comb(matrix.cols, k)
-    if pairs > pair_cap:
+    work = exhaustive_work(matrix.rows, matrix.cols, m, k)
+    if work > pair_cap:
         raise CapExceeded(
-            f"{pairs} submatrices exceed the work cap {pair_cap}; "
+            f"{work} work units exceed the work cap {pair_cap}; "
             "use min_submatrix_rank_sampled instead"
         )
-    col_masks = []
-    for cset in combinations(range(matrix.cols), k):
-        mask = 0
-        for c in cset:
-            mask |= 1 << c
-        col_masks.append(mask)
-    col_sets = list(combinations(range(matrix.cols), k))
-
+    # Gray-code walk: the i-th step flips row bit `b` and reaches combination g
+    gray = [(i ^ (i >> 1), (i & -i).bit_length() - 1) for i in range(1, 1 << m)]
+    budget = matrix.cols - k
     data = matrix.row_words
     best = min(m, k) + 1
     best_rows: tuple[int, ...] = ()
-    best_cols: tuple[int, ...] = ()
     for rset in combinations(range(matrix.rows), m):
         rows = [data[r] for r in rset]
-        for ci, cmask in enumerate(col_masks):
-            # inline rank with early abort once it cannot beat `best`
-            pivots: dict[int, int] = {}
-            count = 0
-            for v in rows:
-                v &= cmask
-                while v:
-                    low = v & -v
-                    p = pivots.get(low)
-                    if p is None:
-                        pivots[low] = v
-                        count += 1
-                        break
-                    v ^= p
-                if count >= best:
-                    break
-            if count < best:
-                best = count
-                best_rows = rset
-                best_cols = col_sets[ci]
-                if best == 0:
-                    return 0, best_rows, best_cols
-    return best, best_rows, best_cols
+        combos = []
+        p = 0
+        for g, b in gray:
+            p ^= rows[b]
+            if p.bit_count() <= budget:
+                combos.append((g, p))
+        if len(combos) < (1 << (m - best + 1)) - 1:
+            continue  # too few to beat best: the search's first test, inlined
+        dim = _max_fit_dim(combos, budget, m - best)
+        if dim > m - best:
+            best = m - dim
+            best_rows = rset
+            if best == 0:
+                break
+
+    rows = [data[r] for r in best_rows]
+    for cset in combinations(range(matrix.cols), k):
+        cmask = 0
+        for c in cset:
+            cmask |= 1 << c
+        if _rank_of_words(v & cmask for v in rows) == best:
+            return best, best_rows, cset
+    raise AssertionError("no column set reaches the row set's minimum")
 
 
 def min_submatrix_rank_sampled(

@@ -22,6 +22,7 @@ from widthlab import (
     write_report,
 )
 from widthlab.experiments import render_summary, render_table, write_table
+from widthlab.gf2 import exhaustive_work
 
 
 def small_cfg(name, n_values=(6,), trials=3, seed=11, **kw):
@@ -69,6 +70,20 @@ class TestLemma1Experiment:
     def test_cap_falls_back_to_sampled(self):
         report = lemma1_experiment(small_cfg("lemma1", trials=2, work_cap=10))
         assert all(r["certified"] is False for r in report.records)
+
+    def test_work_cap_at_the_work_count_is_exhaustive(self):
+        work = exhaustive_work(6, 6, 2, 4)
+        at = lemma1_experiment(small_cfg("lemma1", trials=2, work_cap=work))
+        below = lemma1_experiment(small_cfg("lemma1", trials=2, work_cap=work - 1))
+        assert all(r["certified"] is True for r in at.records)
+        assert all(r["certified"] is False for r in below.records)
+
+    def test_n20_is_certified_under_the_default_cap(self):
+        report = lemma1_experiment(small_cfg("lemma1", n_values=(20,), trials=1))
+        (rec,) = report.records
+        assert rec["certified"] is True
+        matrix = sample_matrix(20, 20, rec["seed"])
+        assert rank(submatrix(matrix, rec["rowset"], rec["colset"])) == rec["mu"]
 
     def test_sampled_bounds_exhaustive_per_trial(self):
         exact = lemma1_experiment(small_cfg("lemma1", trials=4))
@@ -250,14 +265,14 @@ class TestReportSerialization:
 
 class TestPoolFallback:
     def test_serial_fallback_is_announced_and_identical(self, monkeypatch, capsys):
-        import widthlab.experiments
+        import concurrent.futures
 
         def no_pool(*args, **kwargs):
             raise OSError("no process pool here")
 
         cfg = small_cfg("lemma1", n_values=(6, 9), trials=2)
         serial = lemma1_experiment(cfg, jobs=1)
-        monkeypatch.setattr(widthlab.experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert lemma1_experiment(cfg, jobs=2) == serial
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "serially" in err

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +18,7 @@ from widthlab import (
     sample_matrix,
     submatrix,
 )
+from widthlab.gf2 import DEFAULT_PAIR_CAP, exhaustive_work
 
 from conftest import rank_by_row_space
 
@@ -194,3 +197,171 @@ class TestMinSubmatrixRank:
     def test_work_cap(self):
         with pytest.raises(CapExceeded, match="sampled"):
             min_submatrix_rank_exhaustive(sample_matrix(9, 9, 1), 3, 6, pair_cap=100)
+
+    def test_work_cap_is_the_exact_work_count(self):
+        m = sample_matrix(9, 9, 1)
+        work = exhaustive_work(9, 9, 3, 6)
+        assert work == math.comb(9, 3) * 2**3 + math.comb(9, 6)
+        assert min_submatrix_rank_exhaustive(m, 3, 6, pair_cap=work) == column_scan_oracle(m, 3, 6)
+        with pytest.raises(CapExceeded, match="sampled"):
+            min_submatrix_rank_exhaustive(m, 3, 6, pair_cap=work - 1)
+
+
+# The column scan that the row-combination search replaced, kept verbatim
+# (renamed) as the oracle: the (mu, rowset, colset) triple must match exactly.
+def column_scan_oracle(
+    matrix: BitMatrix,
+    m: int,
+    k: int,
+    pair_cap: int = DEFAULT_PAIR_CAP,
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Exact minimum GF(2) rank over all m x k submatrices, with a witness.
+
+    Scans C(rows, m) * C(cols, k) submatrices; the witness is the first pair
+    achieving the minimum in lexicographic (rowset, colset) order.  Raises
+    CapExceeded when the scan would exceed `pair_cap`.
+    """
+    if not 0 <= m <= matrix.rows:
+        raise ValueError(f"need 0 <= m <= {matrix.rows}, got {m}")
+    if not 0 <= k <= matrix.cols:
+        raise ValueError(f"need 0 <= k <= {matrix.cols}, got {k}")
+    pairs = math.comb(matrix.rows, m) * math.comb(matrix.cols, k)
+    if pairs > pair_cap:
+        raise CapExceeded(
+            f"{pairs} submatrices exceed the work cap {pair_cap}; "
+            "use min_submatrix_rank_sampled instead"
+        )
+    col_masks = []
+    for cset in combinations(range(matrix.cols), k):
+        mask = 0
+        for c in cset:
+            mask |= 1 << c
+        col_masks.append(mask)
+    col_sets = list(combinations(range(matrix.cols), k))
+
+    data = matrix.row_words
+    best = min(m, k) + 1
+    best_rows: tuple[int, ...] = ()
+    best_cols: tuple[int, ...] = ()
+    for rset in combinations(range(matrix.rows), m):
+        rows = [data[r] for r in rset]
+        for ci, cmask in enumerate(col_masks):
+            # inline rank with early abort once it cannot beat `best`
+            pivots: dict[int, int] = {}
+            count = 0
+            for v in rows:
+                v &= cmask
+                while v:
+                    low = v & -v
+                    p = pivots.get(low)
+                    if p is None:
+                        pivots[low] = v
+                        count += 1
+                        break
+                    v ^= p
+                if count >= best:
+                    break
+            if count < best:
+                best = count
+                best_rows = rset
+                best_cols = col_sets[ci]
+                if best == 0:
+                    return 0, best_rows, best_cols
+    return best, best_rows, best_cols
+
+
+def _words(n, seed, count):
+    rng = SplitMix64(seed)
+    return [rng.next_bits(n) for _ in range(count)]
+
+
+def _shape_cases():
+    """Matrices with all-one, unit, zero, repeated, sparse and non-square rows."""
+    cases = []
+    for n in (5, 7, 8):
+        half = _words(n, 100 + n, (n + 1) // 2)
+        a, b, c = (_words(n, 200 + n + j, n) for j in range(3))
+        cases += [
+            pytest.param(BitMatrix(n, n, [(1 << n) - 1] * n), id=f"ones{n}"),
+            pytest.param(identity(n), id=f"identity{n}"),
+            pytest.param(BitMatrix(n, n, [0] * n), id=f"zero{n}"),
+            pytest.param(BitMatrix(n, n, (half * 2)[:n]), id=f"repeated{n}"),
+            pytest.param(BitMatrix(n, n, [x & y & z for x, y, z in zip(a, b, c)]), id=f"sparse{n}"),
+        ]
+    a, b, c = (_words(8, 31 + j, 6) for j in range(3))
+    cases += [
+        pytest.param(sample_matrix(5, 9, 17), id="wide5x9"),
+        pytest.param(sample_matrix(9, 5, 18), id="tall9x5"),
+        pytest.param(BitMatrix(6, 8, [x & y & z for x, y, z in zip(a, b, c)]), id="sparse6x8"),
+    ]
+    return cases
+
+
+class TestColumnScanOracle:
+    @pytest.mark.parametrize("n", range(3, 14))
+    def test_seeded_lemma_shapes(self, n):
+        m, k = n // 3, -(-2 * n // 3)
+        for seed in range(6 if n <= 10 else 2 if n <= 12 else 1):
+            matrix = sample_matrix(n, n, mix_seed(909, n, seed))
+            assert min_submatrix_rank_exhaustive(matrix, m, k) == column_scan_oracle(
+                matrix, m, k
+            ), (n, seed)
+
+    @pytest.mark.parametrize("matrix", _shape_cases())
+    def test_every_shape(self, matrix):
+        # m = 0, k = 0, k = cols, m > k and m <= k all occur below
+        for m in range(matrix.rows + 1):
+            for k in range(matrix.cols + 1):
+                assert min_submatrix_rank_exhaustive(matrix, m, k) == column_scan_oracle(
+                    matrix, m, k
+                ), (m, k)
+
+
+def _ones18():
+    return BitMatrix(18, 18, [(1 << 18) - 1] * 18)
+
+
+def _row_pairs18():
+    # rows 2i and 2i + 1 are equal, so most row sets have dependent rows
+    return BitMatrix(18, 18, [w for w in sample_matrix(9, 18, 7).row_words for _ in range(2)])
+
+
+def _band18():
+    # row i has ones in the six columns i, i+1, ..., i+5 (mod 18)
+    return BitMatrix(18, 18, [(0b111111 << i | 0b111111 >> (18 - i)) & ((1 << 18) - 1) for i in range(18)])
+
+
+class TestPathologicalInputs:
+    """18 x 18, m = 6, k = 12: inputs with many tied or dependent combinations.
+
+    Many fitting combinations share one support here, so a search over their
+    bases would meet each basis of a large subspace in every row set; the
+    search over unions of supports visits each union once, and takes well
+    under a second on each.
+    The triples were checked once against `column_scan_oracle`, which scans
+    18,564^2 pairs and takes two to four minutes on each, too slow for the
+    suite.
+    """
+
+    @pytest.mark.parametrize(
+        "make,expected",
+        [
+            pytest.param(_ones18, (1, (0, 1, 2, 3, 4, 5), tuple(range(12))), id="all-ones"),
+            pytest.param(
+                _row_pairs18,
+                (2, (0, 1, 2, 3, 12, 13), (0, 1, 3, 5, 6, 7, 9, 10, 12, 13, 15, 16)),
+                id="row-pairs",
+            ),
+            pytest.param(
+                _band18,
+                (2, (0, 1, 2, 6, 7, 8), (2, 3, 4, 5, 8, 9, 10, 11, 14, 15, 16, 17)),
+                id="band",
+            ),
+        ],
+    )
+    def test_pinned(self, make, expected):
+        matrix = make()
+        result = min_submatrix_rank_exhaustive(matrix, 6, 12)
+        assert result == expected
+        mu, rows, cols = result
+        assert rank(submatrix(matrix, rows, cols)) == mu
