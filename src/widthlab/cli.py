@@ -32,8 +32,10 @@ from .experiments import (
     write_table,
 )
 from .widths import (
+    BALANCED_CAP,
     CUT_BOOL_FUNCTION,
     CUT_RANK_FUNCTION,
+    DEFAULT_EXACT_CAP,
     balanced_cut_lower_bound,
     emit_tree,
     exact_f_width,
@@ -238,23 +240,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--count", type=int, default=1, help="number of graphs")
     p_gen.add_argument("--format", choices=("g6", "edges"), default="g6")
 
-    p_width = sub.add_parser("width", help="exact width per input graph")
-    p_width.add_argument("--measure", choices=("rank", "bool"), default="rank")
-    p_width.add_argument("--input", required=True, help="path or - for stdin")
-    p_width.add_argument("--input-format", choices=("g6", "edges"), default="g6")
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--measure", choices=("rank", "bool"), default="rank")
+    inputs.add_argument("--input", required=True, help="path or - for stdin")
+    inputs.add_argument("--input-format", choices=("g6", "edges"), default="g6")
+
+    p_width = sub.add_parser("width", parents=[inputs], help="exact width per input graph")
     p_width.add_argument("--witness", action="store_true", help="print the optimal tree")
-    p_width.add_argument("--cap", type=int, default=16, help="exact engine vertex cap")
+    p_width.add_argument(
+        "--cap", type=int, default=DEFAULT_EXACT_CAP, help="exact engine vertex cap"
+    )
 
-    p_lb = sub.add_parser("lb", help="balanced-cut lower bound per input graph")
-    p_lb.add_argument("--measure", choices=("rank", "bool"), default="rank")
-    p_lb.add_argument("--input", required=True)
-    p_lb.add_argument("--input-format", choices=("g6", "edges"), default="g6")
-    p_lb.add_argument("--cap", type=int, default=22, help="balanced enumeration cap")
+    p_lb = sub.add_parser("lb", parents=[inputs], help="balanced-cut lower bound per input graph")
+    p_lb.add_argument("--cap", type=int, default=BALANCED_CAP, help="balanced enumeration cap")
 
-    p_check = sub.add_parser("check", help="re-evaluate a serialized tree on a graph")
-    p_check.add_argument("--measure", choices=("rank", "bool"), default="rank")
-    p_check.add_argument("--input", required=True)
-    p_check.add_argument("--input-format", choices=("g6", "edges"), default="g6")
+    p_check = sub.add_parser(
+        "check", parents=[inputs], help="re-evaluate a serialized tree on a graph"
+    )
     p_check.add_argument("--tree", required=True, help="path to a serialized tree")
 
     p_exp = sub.add_parser("exp", help="run a seeded experiment, write a report")
@@ -268,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--format", choices=("csv", "jsonl"), default="jsonl")
     p_exp.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p_exp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_exp.add_argument("--width-cap", type=int, default=16)
+    p_exp.add_argument("--width-cap", type=int, default=DEFAULT_EXACT_CAP)
     p_exp.add_argument(
         "--work-cap",
         type=int,

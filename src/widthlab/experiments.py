@@ -35,6 +35,7 @@ from .rng import GENERATOR_NAME, mix_seed
 from .widths import (
     CUT_BOOL_FUNCTION,
     CUT_RANK_FUNCTION,
+    DEFAULT_EXACT_CAP,
     balanced_cut_lower_bound,
     exact_f_width,
     tree_cuts,
@@ -49,7 +50,7 @@ class ExperimentConfig:
     master_seed: int
     mode: str = "exhaustive"  # "exhaustive" | "sampled"
     work_cap: int = DEFAULT_PAIR_CAP
-    width_cap: int = 16
+    width_cap: int = DEFAULT_EXACT_CAP
     sample_trials: int = 2000
 
 
@@ -78,9 +79,11 @@ def _validate_config(cfg: ExperimentConfig, min_n: int) -> None:
         raise ValueError("config must request at least one trial")
     if cfg.mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {cfg.mode!r}")
-    for n in cfg.n_values:
+    for i, n in enumerate(cfg.n_values):
         if n < min_n:
             raise ValueError(f"n = {n} below the minimum {min_n} for {cfg.name}")
+        if n in cfg.n_values[:i]:
+            raise ValueError(f"n = {n} appears more than once in the n list")
 
 
 @dataclass(frozen=True)
@@ -343,11 +346,12 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _config_lines(cfg: ExperimentConfig) -> list[str]:
+def _config_lines(report: ExperimentReport) -> list[str]:
+    cfg = report.config
     return [
         f"# experiment={cfg.name}",
-        f"# generator={GENERATOR_NAME}",
-        f"# version={__version__}",
+        f"# generator={report.generator}",
+        f"# version={report.version}",
         f"# master_seed={cfg.master_seed}",
         "# n_values=" + " ".join(str(n) for n in cfg.n_values),
         f"# trials={cfg.trials}",
@@ -377,7 +381,7 @@ def write_report(report: ExperimentReport, fmt: str, path) -> None:
     """
     if fmt == "csv":
         rows = ([rec[c] for c in report.columns] for rec in report.records)
-        lines = _config_lines(report.config) + _csv_lines(report.columns, rows)
+        lines = _config_lines(report) + _csv_lines(report.columns, rows)
     elif fmt == "jsonl":
         tail = {
             "config": _config_dict(report.config),

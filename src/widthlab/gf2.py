@@ -227,6 +227,13 @@ def _max_fit_dim(combos: list[tuple[int, int]], budget: int, floor: int) -> int:
     return best
 
 
+def _check_shape(matrix: BitMatrix, m: int, k: int) -> None:
+    if not 0 <= m <= matrix.rows:
+        raise ValueError(f"need 0 <= m <= {matrix.rows}, got {m}")
+    if not 0 <= k <= matrix.cols:
+        raise ValueError(f"need 0 <= k <= {matrix.cols}, got {k}")
+
+
 def min_submatrix_rank_exhaustive(
     matrix: BitMatrix,
     m: int,
@@ -247,10 +254,7 @@ def min_submatrix_rank_exhaustive(
     are scanned in order for the first of that rank.  Raises CapExceeded when
     `exhaustive_work` exceeds `pair_cap`.
     """
-    if not 0 <= m <= matrix.rows:
-        raise ValueError(f"need 0 <= m <= {matrix.rows}, got {m}")
-    if not 0 <= k <= matrix.cols:
-        raise ValueError(f"need 0 <= k <= {matrix.cols}, got {k}")
+    _check_shape(matrix, m, k)
     work = exhaustive_work(matrix.rows, matrix.cols, m, k)
     if work > pair_cap:
         raise CapExceeded(
@@ -302,10 +306,7 @@ def min_submatrix_rank_sampled(
     The result is an upper bound on the true minimum; callers that put it in
     a report must flag it as non-certified.
     """
-    if not 0 <= m <= matrix.rows:
-        raise ValueError(f"need 0 <= m <= {matrix.rows}, got {m}")
-    if not 0 <= k <= matrix.cols:
-        raise ValueError(f"need 0 <= k <= {matrix.cols}, got {k}")
+    _check_shape(matrix, m, k)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = SplitMix64(seed)

@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import ParseError
-from .gf2 import BitMatrix, _rank_of_words
+from .gf2 import BitMatrix, _rank_of_words, submatrix
 from .rng import SplitMix64
 
 
@@ -172,16 +172,7 @@ def cut_matrix(graph: Graph, cut: Cut) -> BitMatrix:
     witnesses built from this matrix are reproducible.
     """
     _check_cut(graph, cut)
-    side = cut.members
-    other = cut.complement().members
-    data = []
-    for u in side:
-        row = graph.adjacency_row(u)
-        word = 0
-        for jj, v in enumerate(other):
-            word |= ((row >> v) & 1) << jj
-        data.append(word)
-    return BitMatrix(len(side), len(other), data)
+    return submatrix(graph.adjacency, cut.members, cut.complement().members)
 
 
 def cut_rank(graph: Graph, cut: Cut) -> int:

@@ -30,6 +30,10 @@ rebuilt from the exact g afterwards, by a full ascending scan at each of the
 tree's own n - 1 splits (the root and the n - 2 internal nodes): at most
 n * 2^(n-1) lookups.  Ties between optimal splits resolve to the
 numerically smallest side, so the witness is deterministic.
+
+The engine needs f(X) = f(V \\ X) and f(empty) = 0.  _audit_symmetry checks
+both: exact_f_width on every complementary pair of its table, the other
+engines on a seeded sample of subsets.
 """
 
 from __future__ import annotations
@@ -56,9 +60,10 @@ class CutFunction:
     """A symmetric set function f on vertex subsets, with a display name.
 
     `evaluate` maps (Graph, Cut) to a real value; `bits_evaluate`, when
-    given, is a faster path taking the cut as a packed int.  The engine
-    checks the symmetry contract f(X) = f(V \\ X) and raises ContractError
-    on violation.
+    given, is a faster path taking the cut as a packed int.  f must satisfy
+    f(X) = f(V \\ X) and f(empty) = 0.  exact_f_width checks every
+    complementary pair; the other engines check a seeded sample of subsets.
+    A violation raises ContractError.
     """
 
     name: str
@@ -221,24 +226,40 @@ def _bits_eval(graph: Graph, f: CutFunction) -> Callable[[int], float]:
     return lambda bits: ev(graph, Cut(bits, n))
 
 
+def _audit_symmetry(
+    f: CutFunction, val: Callable[[int], float], n: int, subsets: Iterable[int]
+) -> None:
+    """Check f(X) = f(V \\ X) for each X in `subsets`, then f(empty) = 0."""
+    full = (1 << n) - 1
+    for s in subsets:
+        a, b = val(s), val(full ^ s)
+        if not math.isclose(a, b, rel_tol=_SYMMETRY_TOL, abs_tol=_SYMMETRY_TOL):
+            raise ContractError(
+                f"cut function {f.name!r} is not symmetric at subset {s:#x}: {a} vs {b}"
+            )
+    if abs(val(0)) > _SYMMETRY_TOL:
+        raise ContractError(f"cut function {f.name!r} must vanish on the empty side")
+
+
 def _spot_check_symmetry(graph: Graph, f: CutFunction, ev: Callable[[int], float]) -> None:
     """Sampled symmetry audit run when a cut function enters an engine."""
     n = graph.n
-    if n == 0:
-        return
-    full = (1 << n) - 1
     rng = SplitMix64(mix_seed(0x5F, n))
-    seensets = [0, full] + [rng.next_bits(n) for _ in range(min(32, 1 << n))]
-    for bits in seensets:
-        a = ev(bits)
-        b = ev(full ^ bits)
-        if not math.isclose(a, b, rel_tol=_SYMMETRY_TOL, abs_tol=_SYMMETRY_TOL):
-            raise ContractError(
-                f"cut function {f.name!r} is not symmetric: "
-                f"f({bits:#x})={a} but f(complement)={b}"
-            )
-    if abs(ev(0)) > _SYMMETRY_TOL:
-        raise ContractError(f"cut function {f.name!r} must vanish on the empty side")
+    sample = [0, (1 << n) - 1] + [rng.next_bits(n) for _ in range(min(32, 1 << n))]
+    _audit_symmetry(f, ev, n, sample)
+
+
+def _cut_table(graph: Graph, f: CutFunction) -> list[float]:
+    """f on all 2^n subsets, empty and full included; the audit runs after the fill."""
+    n = graph.n
+    # One object per distinct value: 2^n separate floats fragment the heap.
+    # The type in the key keeps an int-valued function's ints, and zeros are
+    # left as returned so that 0.0 and -0.0 are never merged.
+    intern = {}.setdefault
+    values = map(_bits_eval(graph, f), range(1 << n))
+    table = [intern((type(v), v), v) if v else v for v in values]
+    _audit_symmetry(f, table.__getitem__, n, range(1 << (n - 1)))
+    return table
 
 
 def tree_width_under(graph: Graph, tree: DecompositionTree, f: CutFunction) -> WidthResult:
@@ -272,14 +293,15 @@ def exact_f_width(
     """Exact minimum f-width over all decomposition trees, with witnesses.
 
     Subset dynamic programming over the exact table g[S] = max(f(S), c(S)),
-    at most O(3^n) side lookups with f memoized in a 2^n table and evaluated
-    against the global complement throughout.  The sides T of S run in
-    increasing order over the non-empty subsets of S without its top bit;
-    a side with g[T] >= best is skipped, and the scan of S stops once
-    best <= f(S).  The witness tree is rebuilt from g, top-down, by a full
-    scan at each of its internal nodes only, and re-evaluated with
-    tree_width_under.  Ties between optimal splits resolve to the
-    numerically smallest side, so the witness tree is deterministic.
+    at most O(3^n) side lookups with f memoized in a 2^n table, evaluated
+    against the global complement throughout and audited for symmetry on
+    every complementary pair.  The sides T of S run in increasing order
+    over the non-empty subsets of S without its top bit; a side with
+    g[T] >= best is skipped, and the scan of S stops once best <= f(S).
+    The witness tree is rebuilt from g, top-down, by a full scan at each of
+    its internal nodes only, and re-evaluated with tree_width_under.  Ties
+    between optimal splits resolve to the numerically smallest side, so the
+    witness tree is deterministic.
     """
     n = graph.n
     if n > n_cap:
@@ -287,28 +309,13 @@ def exact_f_width(
     if n <= 1:
         return WidthResult(0.0, _trivial_tree(n), Cut(0, n))
 
-    ev = _bits_eval(graph, f)
-    size = 1 << n
-    full = size - 1
-    fval = [0.0] * size
-    # One object per distinct value: 2^n separate floats fragment the heap.
-    # The type in the key keeps an int-valued function's ints, and zeros are
-    # left as returned so that 0.0 and -0.0 are never merged.
-    interned: dict[tuple[type, float], float] = {}
-    for s in range(1, full):
-        v = ev(s)
-        fval[s] = interned.setdefault((type(v), v), v) if v else v
-    for s in range(size // 2):
-        a, b = fval[s], fval[full ^ s]
-        if not math.isclose(a, b, rel_tol=_SYMMETRY_TOL, abs_tol=_SYMMETRY_TOL):
-            raise ContractError(
-                f"cut function {f.name!r} is not symmetric at subset {s:#x}: {a} vs {b}"
-            )
-
-    g = fval[:]  # exact for singletons; the loop fills every larger S < full
+    # g starts as f and is exact for singletons; the loop turns every larger
+    # S < V into max(f(S), c(S)), reading f(S) before it is overwritten.
+    g = _cut_table(graph, f)
+    full = (1 << n) - 1
     for s in range(3, full):
         if s & (s - 1):
-            fs = fval[s]
+            fs = g[s]
             best = _best_split(g, s, fs)[0]
             if best > fs:
                 g[s] = best
@@ -578,10 +585,8 @@ def parse_tree(text: str) -> DecompositionTree:
     if n <= 2:
         if len(lines) > 1:
             raise ParseError(f"no internal nodes expected for n = {n}", position=2)
-        if n == 0:
-            return DecompositionTree(0, [], {})
-        if n == 1:
-            return DecompositionTree(1, [], {0: 0})
+        if n <= 1:
+            return _trivial_tree(n)
         return DecompositionTree(2, [(0, 1)], {0: 0, 1: 1})
 
     want_internal = n - 2

@@ -15,7 +15,15 @@ from widthlab import (
     log2_int,
     sample_matrix,
 )
-from widthlab.graphs import Cut, all_cuts, complete_graph, path_graph, sample_gnp_half
+from widthlab.graphs import (
+    Cut,
+    all_cuts,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    path_graph,
+    sample_gnp_half,
+)
 
 from conftest import count_set_partitions, enumerate_subspaces, union_count_by_subsets
 
@@ -77,9 +85,15 @@ class TestCutBool:
         assert cut_bool(path_graph(4), Cut.from_vertices(4, [0, 1])) == 1.0
 
     def test_symmetric_under_complement_exhaustive(self):
-        for n in range(1, 9):
+        for n in range(1, 13):
             g = sample_gnp_half(n, 5000 + n)
             for cut in all_cuts(n):
+                assert cut_bool(g, cut) == cut_bool(g, cut.complement())
+
+    def test_named_graphs_symmetric_under_complement(self):
+        named = [complete_graph(12), path_graph(12), cycle_graph(12), empty_graph(12)]
+        for g in named:
+            for cut in all_cuts(g.n):
                 assert cut_bool(g, cut) == cut_bool(g, cut.complement())
 
     def test_bounded_by_small_side(self):

@@ -236,6 +236,7 @@ class TestUsageErrors:
              "--out", "{unwritable}"],
             ["exp", "envelope", "--n-list", "3..5", "--out", "{unwritable}"],
             ["exp", "bell", "--n-list", "600"],
+            ["exp", "scaling", "--seed", "1", "--n-list", "6,6", "--trials", "2"],
         ],
     )
     def test_one_line_exit_1(self, tmp_path, argv):

@@ -44,6 +44,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="mode"):
             lemma1_experiment(small_cfg("lemma1", mode="guess"))
 
+    def test_repeated_n(self):
+        with pytest.raises(ValueError, match="n = 6 appears more than once"):
+            scaling_experiment(small_cfg("scaling", n_values=(6, 6), trials=2))
+        with pytest.raises(ValueError, match="n = 4 appears more than once"):
+            lemma1_experiment(small_cfg("lemma1", n_values=(3, 4, 5, 4)))
+
 
 class TestLemma1Experiment:
     def test_trial_records_verify_at_witness(self):

@@ -116,11 +116,17 @@ class TestCutMatrixAndRank:
             assert cut_rank(g, cut) == rank(cut_matrix(g, cut))
 
     def test_symmetric_under_complement_exhaustive(self):
-        for n in range(1, 9):
+        for n in range(1, 13):
             g = sample_gnp_half(n, 7000 + n)
             for cut in all_cuts(n):
                 assert cut_rank(g, cut) == cut_rank(g, cut.complement())
                 assert cut_rank(g, cut) <= min(cut.size, n - cut.size)
+
+    def test_named_graphs_symmetric_under_complement(self):
+        named = [complete_graph(12), path_graph(12), cycle_graph(12), empty_graph(12)]
+        for g in named:
+            for cut in all_cuts(g.n):
+                assert cut_rank(g, cut) == cut_rank(g, cut.complement())
 
     def test_vertex_deletion_never_increases(self):
         rng = SplitMix64(505)

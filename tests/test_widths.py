@@ -187,6 +187,44 @@ class TestExactFWidth:
         assert a.witness_cut == b.witness_cut
 
 
+def _all_engines(graph, f):
+    """Run f through each engine that audits the symmetry contract."""
+    return [
+        lambda: exact_f_width(graph, f),
+        lambda: brute_force_f_width(graph, f),
+        lambda: balanced_cut_lower_bound(graph, f),
+        lambda: tree_width_under(graph, caterpillar(graph.n), f),
+    ]
+
+
+class TestSymmetryContract:
+    def test_one_asymmetric_subset_outside_the_sample(self):
+        # 0x11 and its complement are not among the 34 subsets the seeded
+        # spot check draws at n = 6, so only the full audit can see them.
+        def minside_but_one(graph, cut):
+            k = float(min(cut.size, graph.n - cut.size))
+            return k + 1.0 if cut.bits == 0x11 else k
+
+        f = CutFunction(name="skew", evaluate=minside_but_one)
+        g = sample_gnp_half(6, 1)
+        assert tree_width_under(g, caterpillar(6), f).value == 3.0
+        message = r"'skew' is not symmetric at subset 0x11: 3\.0 vs 2\.0"
+        with pytest.raises(ContractError, match=message):
+            exact_f_width(g, f)
+
+    def test_nonzero_on_the_empty_side_rejected_by_every_engine(self):
+        f = CutFunction(name="one", evaluate=lambda g, c: 1.0)
+        for run in _all_engines(sample_gnp_half(6, 1), f):
+            with pytest.raises(ContractError, match="'one' must vanish on the empty side"):
+                run()
+
+    def test_side_size_rejected_by_every_engine(self):
+        f = CutFunction(name="size", evaluate=lambda g, c: float(c.size))
+        for run in _all_engines(sample_gnp_half(6, 1), f):
+            with pytest.raises(ContractError, match="'size' is not symmetric"):
+                run()
+
+
 def reference_min_max_dp(graph, f):
     """The full-scan min-max subset DP with split tables: an oracle for exact_f_width.
 
