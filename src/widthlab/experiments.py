@@ -16,7 +16,7 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -82,8 +82,13 @@ def _validate_config(cfg: ExperimentConfig, min_n: int) -> None:
     for i, n in enumerate(cfg.n_values):
         if n < min_n:
             raise ValueError(f"n = {n} below the minimum {min_n} for {cfg.name}")
-        if n in cfg.n_values[:i]:
-            raise ValueError(f"n = {n} appears more than once in the n list")
+        _check_not_repeated(cfg.n_values, i)
+
+
+def _check_not_repeated(n_values: tuple[int, ...], i: int) -> None:
+    """Reject the i-th n of a list if it already appears earlier in it."""
+    if n_values[i] in n_values[:i]:
+        raise ValueError(f"n = {n_values[i]} appears more than once in the n list")
 
 
 @dataclass(frozen=True)
@@ -301,9 +306,11 @@ def envelope_curve(n_values) -> Table:
     the exact rational rounded to the nearest float (0.0 once it underflows).
     """
     rows = []
-    for n in n_values:
+    n_values = tuple(n_values)
+    for i, n in enumerate(n_values):
         if n < 0:
             raise ValueError("n must be nonnegative")
+        _check_not_repeated(n_values, i)
         log2_env = 3 * n * math.log2(3) - n * n
         value = float(Fraction(3 ** (3 * n), 2 ** (n * n)))
         rows.append((n, log2_env, value))
@@ -359,19 +366,6 @@ def _config_lines(report: ExperimentReport) -> list[str]:
     ]
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "name": cfg.name,
-        "n_values": list(cfg.n_values),
-        "trials": cfg.trials,
-        "master_seed": cfg.master_seed,
-        "mode": cfg.mode,
-        "work_cap": cfg.work_cap,
-        "width_cap": cfg.width_cap,
-        "sample_trials": cfg.sample_trials,
-    }
-
-
 def write_report(report: ExperimentReport, fmt: str, path) -> None:
     """Write a report as CSV or JSON lines; identical inputs, identical bytes.
 
@@ -384,7 +378,7 @@ def write_report(report: ExperimentReport, fmt: str, path) -> None:
         lines = _config_lines(report) + _csv_lines(report.columns, rows)
     elif fmt == "jsonl":
         tail = {
-            "config": _config_dict(report.config),
+            "config": asdict(report.config),
             "generator": report.generator,
             "version": report.version,
             "summaries": list(report.summaries),

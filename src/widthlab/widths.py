@@ -85,9 +85,16 @@ CUT_BOOL_FUNCTION = CutFunction(
 
 
 class DecompositionTree:
-    """Unrooted tree with degree-3 internal nodes and labeled leaves."""
+    """Unrooted tree with degree-3 internal nodes and labeled leaves.
 
-    __slots__ = ("node_count", "edges", "leaf_map", "_adj")
+    The constructor validates the tree and walks it once, rooted at the node
+    with leaf label 0 (node 0 if there are no leaves).  That one pass decides
+    connectivity and records each node's parent and the bitmask of leaf
+    labels below it.  tree_cuts and emit_tree read both instead of walking
+    the tree again.
+    """
+
+    __slots__ = ("node_count", "edges", "leaf_map", "_adj", "_parent", "_below")
 
     def __init__(
         self,
@@ -109,25 +116,6 @@ class DecompositionTree:
             raise StructureError(
                 f"{node_count} nodes need {node_count - 1} edges, got {len(canon)}"
             )
-        if node_count == 0 and canon:
-            raise StructureError("edges on an empty tree")
-
-        adj: list[list[int]] = [[] for _ in range(node_count)]
-        for a, b in canon:
-            adj[a].append(b)
-            adj[b].append(a)
-
-        if node_count > 0:
-            seen = {0}
-            stack = [0]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != node_count:
-                raise StructureError("tree is not connected")
 
         for node in leaf_map:
             if not 0 <= node < node_count:
@@ -136,6 +124,28 @@ class DecompositionTree:
             raise StructureError("leaf map is not injective")
         if set(leaf_map.values()) != set(range(len(leaf_map))):
             raise StructureError("leaf labels must be exactly 0..n-1")
+
+        adj: list[list[int]] = [[] for _ in range(node_count)]
+        for a, b in canon:
+            adj[a].append(b)
+            adj[b].append(a)
+
+        # The one pass.  parent -2 marks a node not reached yet; the root's is -1.
+        parent = [-2] * node_count
+        below = [1 << leaf_map[u] if u in leaf_map else 0 for u in range(node_count)]
+        if node_count > 0:
+            root = next((u for u, v in leaf_map.items() if v == 0), 0)
+            parent[root] = -1
+            order = [root]
+            for u in order:
+                for w in adj[u]:
+                    if parent[w] == -2:
+                        parent[w] = u
+                        order.append(w)
+            if len(order) != node_count:
+                raise StructureError("tree is not connected")
+            for u in reversed(order[1:]):
+                below[parent[u]] |= below[u]
 
         for u in range(node_count):
             deg = len(adj[u])
@@ -150,6 +160,8 @@ class DecompositionTree:
         self.edges = tuple(canon)
         self.leaf_map = dict(leaf_map)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self._parent = tuple(parent)
+        self._below = tuple(below)
 
     def validate_for(self, n: int) -> None:
         """Check the leaf bijection against a graph on n vertices."""
@@ -184,37 +196,15 @@ class WidthResult:
 
 
 def tree_cuts(tree: DecompositionTree) -> list[Cut]:
-    """Bipartitions induced by the tree's edges.
+    """Bipartitions induced by the tree's edges, read from the constructor's pass.
 
-    Each cut is reported as the side NOT containing vertex 0, so the result
-    does not depend on internal node numbering.  Order follows the canonical
-    sorted edge list.
+    Each cut is reported as the side NOT containing vertex 0 (the leaf labels
+    below the endpoint farther from leaf 0), so the result does not depend on
+    internal node numbering.  Order follows the canonical sorted edge list.
     """
     n = tree.n_leaves
-    if n == 0 or tree.node_count <= 1:
-        return []
-    root = next(node for node, v in tree.leaf_map.items() if v == 0)
-    parent = {root: -1}
-    order = [root]
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in tree.neighbors(u):
-            if w != parent[u]:
-                parent[w] = u
-                order.append(w)
-                stack.append(w)
-    mask = [0] * tree.node_count
-    for u in reversed(order):
-        if u in tree.leaf_map:
-            mask[u] |= 1 << tree.leaf_map[u]
-        if parent[u] != -1:
-            mask[parent[u]] |= mask[u]
-    cuts = []
-    for a, b in tree.edges:
-        child = b if parent.get(b) == a else a
-        cuts.append(Cut(mask[child], n))
-    return cuts
+    parent, below = tree._parent, tree._below
+    return [Cut(below[b] if parent[b] == a else below[a], n) for a, b in tree.edges]
 
 
 def _bits_eval(graph: Graph, f: CutFunction) -> Callable[[int], float]:
@@ -279,12 +269,21 @@ def tree_width_under(graph: Graph, tree: DecompositionTree, f: CutFunction) -> W
     return WidthResult(best, tree, best_cut)
 
 
+def _verified(
+    graph: Graph, f: CutFunction, value: float, tree: DecompositionTree
+) -> WidthResult:
+    """An exact engine's width and witness, once tree_width_under re-evaluates the tree."""
+    check = tree_width_under(graph, tree, f)
+    if check.value != value:
+        raise AssertionError(
+            f"witness tree re-evaluates to {check.value}, the engine computed {value}"
+        )
+    return WidthResult(value, tree, check.witness_cut)
+
+
 def _trivial_tree(n: int) -> DecompositionTree:
-    if n == 0:
-        return DecompositionTree(0, [], {})
-    if n == 1:
-        return DecompositionTree(1, [], {0: 0})
-    raise AssertionError("only for n <= 1")
+    """The edgeless tree on n <= 1 leaves."""
+    return DecompositionTree(n, [], {v: v for v in range(n)})
 
 
 def exact_f_width(
@@ -320,11 +319,7 @@ def exact_f_width(
             if best > fs:
                 g[s] = best
 
-    value, tree = _witness_tree(g, n)
-    check = tree_width_under(graph, tree, f)
-    if check.value != value:
-        raise AssertionError(f"witness tree reproduces {check.value}, DP computed {value}")
-    return WidthResult(value, tree, check.witness_cut)
+    return _verified(graph, f, *_witness_tree(g, n))
 
 
 def _best_split(g: list[float], s: int, stop: float = -math.inf) -> tuple[float, int]:
@@ -464,10 +459,7 @@ def brute_force_f_width(graph: Graph, f: CutFunction, n_cap: int = BRUTE_FORCE_C
             best_edges = [tuple(e) for e in edges]
 
     tree = DecompositionTree(node_total, best_edges, {v: v for v in range(n)})
-    check = tree_width_under(graph, tree, f)
-    if check.value != best:
-        raise AssertionError("enumerated width disagrees with re-evaluation")
-    return WidthResult(best, tree, check.witness_cut)
+    return _verified(graph, f, best, tree)
 
 
 def balanced_cut_lower_bound(
@@ -516,48 +508,32 @@ def booleanwidth(graph: Graph, n_cap: int = DEFAULT_EXACT_CAP) -> WidthResult:
 # followed by its three neighbors; leaves appear as vertex indices.  Trees
 # with n <= 2 have no internal nodes and serialize as the bare header.  Emit
 # is canonical (names assigned by a traversal ordered on smallest leaf
-# labels), so parse/emit round-trips are textually exact.
+# labels), so parse/emit round-trips are textually exact.  Parse rejects a
+# name given two lines and a line whose neighbors the other lines contradict.
 
 
 def emit_tree(tree: DecompositionTree) -> str:
     n = tree.n_leaves
     header = f"tree {n}"
-    internals = [u for u in range(tree.node_count) if u not in tree.leaf_map]
-    if not internals:
+    if tree.node_count == n:
         return header + "\n"
     leaf_of = tree.leaf_map
-    leaf_node = {v: node for node, v in leaf_of.items()}
-    start = tree.neighbors(leaf_node[0])[0]
-
-    min_below: dict[tuple[int, int], int] = {}
-
-    def down(u: int, par: int) -> int:
-        if u in leaf_of:
-            return leaf_of[u]
-        out = n
-        for w in tree.neighbors(u):
-            if w == par:
-                continue
-            m = down(w, u)
-            min_below[(u, w)] = m
-            out = min(out, m)
-        return out
-
-    down(start, leaf_node[0])
-
+    parent, below = tree._parent, tree._below
+    # the constructor's pass is rooted at leaf 0; start at its one child
+    start = parent.index(parent.index(-1))
     number: dict[int, int] = {}
 
-    def assign(u: int, par: int) -> None:
+    def assign(u: int) -> None:
         number[u] = len(number)
-        kids = [w for w in tree.neighbors(u) if w != par and w not in leaf_of]
-        kids.sort(key=lambda w: min_below[(u, w)])
+        kids = [w for w in tree.neighbors(u) if w != parent[u] and w not in leaf_of]
+        kids.sort(key=lambda w: below[w] & -below[w])
         for w in kids:
-            assign(w, u)
+            assign(w)
 
-    assign(start, leaf_node[0])
+    assign(start)
 
     lines = [header]
-    for u in sorted(number, key=number.get):
+    for u in number:
         toks = []
         for w in tree.neighbors(u):
             if w in leaf_of:
@@ -615,16 +591,31 @@ def parse_tree(text: str) -> DecompositionTree:
         return v
 
     edge_set = set()
+    listed: dict[int, tuple[int, str, tuple[int, ...]]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != 4:
             raise ParseError(
                 f"expected '<name> <nbr> <nbr> <nbr>' on line {lineno}", position=lineno
             )
-        u = node_id(parts[0], lineno)
+        name = parts[0]
+        u = node_id(name, lineno)
         if u < n:
             raise ParseError(f"line {lineno} names a leaf, not an internal node", position=lineno)
-        for tok in parts[1:]:
-            w = node_id(tok, lineno)
-            edge_set.add((min(u, w), max(u, w)))
-    return DecompositionTree(2 * n - 2, sorted(edge_set), {v: v for v in range(n)})
+        if u in listed:
+            raise ParseError(
+                f"{name} named again on line {lineno} (first on line {listed[u][0]})",
+                position=lineno,
+            )
+        nbrs = tuple(sorted(node_id(tok, lineno) for tok in parts[1:]))
+        listed[u] = (lineno, name, nbrs)
+        edge_set.update((min(u, w), max(u, w)) for w in nbrs)
+    tree = DecompositionTree(2 * n - 2, sorted(edge_set), {v: v for v in range(n)})
+    # the edges are the union of all lines, so each line must match the tree
+    for u, (lineno, name, nbrs) in listed.items():
+        if nbrs != tree.neighbors(u):
+            raise ParseError(
+                f"line {lineno} lists neighbors of {name} that the other lines contradict",
+                position=lineno,
+            )
+    return tree

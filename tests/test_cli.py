@@ -237,6 +237,7 @@ class TestUsageErrors:
             ["exp", "envelope", "--n-list", "3..5", "--out", "{unwritable}"],
             ["exp", "bell", "--n-list", "600"],
             ["exp", "scaling", "--seed", "1", "--n-list", "6,6", "--trials", "2"],
+            ["exp", "envelope", "--n-list", "6,6"],
         ],
     )
     def test_one_line_exit_1(self, tmp_path, argv):

@@ -161,6 +161,10 @@ class TestEnvelopeCurve:
             direct = float(Fraction(3 ** (3 * n), 2 ** (n * n)))
             assert direct == pytest.approx(2.0**log2_env, rel=1e-10)
 
+    def test_repeated_n_rejected(self):
+        with pytest.raises(ValueError, match="n = 6 appears more than once in the n list"):
+            envelope_curve([6, 4, 6])
+
 
 class TestBellAsymptoticCheck:
     def test_examples(self):

@@ -73,6 +73,93 @@ class TestDecompositionTree:
         assert len(tree_cuts(t)) == 2 * 5 - 3
 
 
+def random_tree_edges(n, rng):
+    """A random tree with leaf v at node v: leaf k goes into a random edge."""
+    edges = [(0, 1)]
+    for k in range(2, n):
+        a, b = edges.pop(rng.randbelow(len(edges)))
+        node = n + k - 2
+        edges += [(a, node), (node, b), (node, k)]
+    return edges
+
+
+def shuffled(k, rng):
+    """A uniform permutation of range(k) (sample_indices returns sorted)."""
+    perm = list(range(k))
+    for i in range(k - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def renumbered(n, edges, rng, labels=None):
+    """The tree with every node renumbered at random, leaves included.
+
+    Leaf v keeps label v unless `labels` gives it labels[v].
+    """
+    perm = shuffled(2 * n - 2, rng)
+    labels = labels or list(range(n))
+    return DecompositionTree(
+        2 * n - 2,
+        [(perm[a], perm[b]) for a, b in edges],
+        {perm[v]: labels[v] for v in range(n)},
+    )
+
+
+def cuts_by_edge_removal(tree):
+    """For each sorted edge: the leaf labels on the side without leaf 0."""
+    out = []
+    for a, b in tree.edges:
+        seen, stack = {a}, [a]
+        while stack:
+            u = stack.pop()
+            for w in tree.neighbors(u):
+                if w not in seen and {u, w} != {a, b}:
+                    seen.add(w)
+                    stack.append(w)
+        labels = {tree.leaf_map[u] for u in seen if u in tree.leaf_map}
+        if 0 in labels:
+            labels = set(range(tree.n_leaves)) - labels
+        out.append(Cut.from_vertices(tree.n_leaves, sorted(labels)))
+    return out
+
+
+class TestGeneralLeafMap:
+    """Trees whose leaves sit on arbitrary node ids, not leaf v at node v."""
+
+    def test_tree_cuts_match_edge_removal(self):
+        rng = SplitMix64(2468)
+        for n in range(2, 11):
+            for _ in range(5):
+                edges = random_tree_edges(n, rng)
+                labels = shuffled(n, rng)
+                tree = renumbered(n, edges, rng, labels)
+                assert tree_cuts(tree) == cuts_by_edge_removal(tree)
+
+    def test_emit_tree_ignores_node_numbering(self):
+        rng = SplitMix64(1357)
+        for n in range(2, 11):
+            for _ in range(5):
+                edges = random_tree_edges(n, rng)
+                plain = DecompositionTree(2 * n - 2, edges, {v: v for v in range(n)})
+                moved = renumbered(n, edges, rng)
+                assert emit_tree(moved) == emit_tree(plain)
+                assert emit_tree(parse_tree(emit_tree(moved))) == emit_tree(plain)
+
+    def test_width_ignores_node_numbering(self):
+        rng = SplitMix64(97531)
+        for n in (5, 8):
+            g = sample_gnp_half(n, rng.next_word())
+            edges = random_tree_edges(n, rng)
+            plain = DecompositionTree(2 * n - 2, edges, {v: v for v in range(n)})
+            moved = renumbered(n, edges, rng)
+            bits = sorted(c.bits for c in tree_cuts(plain))
+            assert sorted(c.bits for c in tree_cuts(moved)) == bits
+            for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                want = tree_width_under(g, plain, f).value
+                assert tree_width_under(g, moved, f).value == want
+
+
 class TestTreeWidthUnder:
     def test_complete_graph_any_tree(self):
         t = caterpillar(5)
@@ -456,6 +543,17 @@ class TestTreeSerialization:
         with pytest.raises(StructureError):
             # right line count, broken incidence
             parse_tree("tree 4\ni0 0 1 2\ni1 3 i0 i0\n")
+
+    def test_lines_that_disagree_rejected(self):
+        # the union of the lines' edges is a valid tree, but line 3 lists 2 twice
+        with pytest.raises(ParseError, match="line 3 lists neighbors of i1") as err:
+            parse_tree("tree 4\ni0 0 1 i1\ni1 2 3 2\n")
+        assert err.value.position == 3
+        with pytest.raises(ParseError, match="i0 named again on line 3") as err:
+            parse_tree("tree 4\ni0 0 1 i1\ni0 2 3 i1\n")
+        assert err.value.position == 3
+        with pytest.raises(ParseError, match="line 4 lists neighbors of i2"):
+            parse_tree("tree 5\ni0 0 1 i1\ni1 2 i0 i2\ni2 3 4 4\n")
 
     def test_parse_emit_evaluates_identically(self):
         g = sample_gnp_half(6, 5150)
