@@ -32,8 +32,11 @@ n * 2^(n-1) lookups.  Ties between optimal splits resolve to the
 numerically smallest side, so the witness is deterministic.
 
 The engine needs f(X) = f(V \\ X) and f(empty) = 0.  _audit_symmetry checks
-both: exact_f_width on every complementary pair of its table, the other
-engines on a seeded sample of subsets.
+both.  exact_f_width fills a 2^n table of f.  For any cut function it
+evaluates every subset and audits every complementary pair.  The built-in
+cut-rank and boolean cut functions are symmetric by theorem, so for them it
+evaluates each pair once, on the side with fewer vertices, mirrors the
+value and audits a seeded sample of subsets, as the other engines do.
 """
 
 from __future__ import annotations
@@ -62,8 +65,10 @@ class CutFunction:
     `evaluate` maps (Graph, Cut) to a real value; `bits_evaluate`, when
     given, is a faster path taking the cut as a packed int.  f must satisfy
     f(X) = f(V \\ X) and f(empty) = 0.  exact_f_width checks every
-    complementary pair; the other engines check a seeded sample of subsets.
-    A violation raises ContractError.
+    complementary pair; the other engines, and exact_f_width on the two
+    built-ins CUT_RANK_FUNCTION and CUT_BOOL_FUNCTION (recognised by
+    identity, so a copy is checked in full), check a seeded sample of
+    subsets.  A violation raises ContractError.
     """
 
     name: str
@@ -240,15 +245,31 @@ def _spot_check_symmetry(graph: Graph, f: CutFunction, ev: Callable[[int], float
 
 
 def _cut_table(graph: Graph, f: CutFunction) -> list[float]:
-    """f on all 2^n subsets, empty and full included; the audit runs after the fill."""
+    """f on all 2^n subsets, empty and full included; the audit runs after the fill.
+
+    The two built-ins are symmetric by theorem: a matrix and its transpose
+    have the same GF(2) rank, and a 0/1 matrix has as many distinct row
+    unions as column unions.  For them each complementary pair is evaluated
+    once, on the side with fewer vertices, and only the seeded sample is
+    audited.  Any other function is evaluated on every subset and audited on
+    every pair.
+    """
     n = graph.n
+    ev = _bits_eval(graph, f)
     # One object per distinct value: 2^n separate floats fragment the heap.
     # The type in the key keeps an int-valued function's ints, and zeros are
     # left as returned so that 0.0 and -0.0 are never merged.
     intern = {}.setdefault
-    values = map(_bits_eval(graph, f), range(1 << n))
-    table = [intern((type(v), v), v) if v else v for v in values]
-    _audit_symmetry(f, table.__getitem__, n, range(1 << (n - 1)))
+    if f is CUT_RANK_FUNCTION or f is CUT_BOOL_FUNCTION:
+        full, small = (1 << n) - 1, n // 2
+        sides = (s if s.bit_count() <= small else full ^ s for s in range(1 << (n - 1)))
+        low = [intern((type(v), v), v) if v else v for v in map(ev, sides)]
+        # the upper half mirrors the lower one: table[full ^ s] = table[s]
+        table = low + low[::-1]
+        _spot_check_symmetry(graph, f, ev)
+    else:
+        table = [intern((type(v), v), v) if v else v for v in map(ev, range(1 << n))]
+        _audit_symmetry(f, table.__getitem__, n, range(1 << (n - 1)))
     return table
 
 
@@ -293,8 +314,9 @@ def exact_f_width(
 
     Subset dynamic programming over the exact table g[S] = max(f(S), c(S)),
     at most O(3^n) side lookups with f memoized in a 2^n table, evaluated
-    against the global complement throughout and audited for symmetry on
-    every complementary pair.  The sides T of S run in increasing order
+    against the global complement throughout and audited for symmetry (on
+    every complementary pair, or on a seeded sample for the two built-ins;
+    see _cut_table).  The sides T of S run in increasing order
     over the non-empty subsets of S without its top bit; a side with
     g[T] >= best is skipped, and the scan of S stops once best <= f(S).
     The witness tree is rebuilt from g, top-down, by a full scan at each of
@@ -307,18 +329,22 @@ def exact_f_width(
         raise CapExceeded(f"exact width needs n <= {n_cap}, got n = {n}")
     if n <= 1:
         return WidthResult(0.0, _trivial_tree(n), Cut(0, n))
+    return _table_width(graph, f, _cut_table(graph, f))
 
-    # g starts as f and is exact for singletons; the loop turns every larger
-    # S < V into max(f(S), c(S)), reading f(S) before it is overwritten.
-    g = _cut_table(graph, f)
-    full = (1 << n) - 1
-    for s in range(3, full):
+
+def _table_width(graph: Graph, f: CutFunction, g: list[float]) -> WidthResult:
+    """exact_f_width's DP and verified witness, run in place on f's cut table g.
+
+    g starts as f and is exact for singletons; the loop turns every larger
+    S < V into max(f(S), c(S)), reading f(S) before it is overwritten.
+    """
+    n = graph.n
+    for s in range(3, (1 << n) - 1):
         if s & (s - 1):
             fs = g[s]
             best = _best_split(g, s, fs)[0]
             if best > fs:
                 g[s] = best
-
     return _verified(graph, f, *_witness_tree(g, n))
 
 
@@ -353,26 +379,31 @@ def _witness_tree(g: list[float], n: int) -> tuple[float, DecompositionTree]:
     are numbered n, n+1, ... in post-order, smaller side first.
     """
     edges: list[tuple[int, int]] = []
-    counter = [n]
-
-    def build(s: int) -> int:
-        if s & (s - 1) == 0:
-            return s.bit_length() - 1
-        t = _best_split(g, s)[1]
-        a = build(t)
-        b = build(s ^ t)
-        node = counter[0]
-        counter[0] += 1
-        edges.append((a, node))
-        edges.append((node, b))
-        return node
-
     full = (1 << n) - 1
     value, t = _best_split(g, full)
-    a = build(t)
-    b = build(full ^ t)
+    a = _subtree(g, t, n, edges)
+    b = _subtree(g, full ^ t, n, edges)
     edges.append((a, b))
-    return value, DecompositionTree(counter[0], edges, {v: v for v in range(n)})
+    return value, DecompositionTree(n + len(edges) // 2, edges, {v: v for v in range(n)})
+
+
+def _subtree(g: list[float], s: int, n: int, edges: list[tuple[int, int]]) -> int:
+    """Append the optimal subtree on leaf set s to edges; return its top node.
+
+    A module function, not a closure: a recursive closure is a reference
+    cycle that would keep the 2^n table g alive until the cyclic collector
+    runs.  Each finished internal node adds two edges, so the next node
+    number is n + len(edges) // 2.
+    """
+    if s & (s - 1) == 0:
+        return s.bit_length() - 1
+    t = _best_split(g, s)[1]
+    a = _subtree(g, t, n, edges)
+    b = _subtree(g, s ^ t, n, edges)
+    node = n + len(edges) // 2
+    edges.append((a, node))
+    edges.append((node, b))
+    return node
 
 
 def _subcubic_trees(n: int):
@@ -478,6 +509,17 @@ def balanced_cut_lower_bound(
         raise CapExceeded(f"balanced enumeration needs n <= {n_cap}, got n = {n}")
     ev = _bits_eval(graph, f)
     _spot_check_symmetry(graph, f, ev)
+    best, bits = _balanced_min(ev, n)
+    return best, Cut(bits, n)
+
+
+def _balanced_min(val: Callable[[int], float], n: int) -> tuple[float, int]:
+    """The minimum of val over balanced sides and the first side attaining it.
+
+    Sides run by size ascending, then in `combinations` order; only a strict
+    improvement replaces the best.  val is a cut function or a cut table's
+    __getitem__.
+    """
     best = math.inf
     best_bits = 0
     for size in range((n + 2) // 3, n // 2 + 1):
@@ -485,11 +527,11 @@ def balanced_cut_lower_bound(
             bits = 0
             for v in chosen:
                 bits |= 1 << v
-            value = ev(bits)
+            value = val(bits)
             if value < best:
                 best = value
                 best_bits = bits
-    return best, Cut(best_bits, n)
+    return best, best_bits
 
 
 def rankwidth(graph: Graph, n_cap: int = DEFAULT_EXACT_CAP) -> WidthResult:
@@ -521,16 +563,16 @@ def emit_tree(tree: DecompositionTree) -> str:
     parent, below = tree._parent, tree._below
     # the constructor's pass is rooted at leaf 0; start at its one child
     start = parent.index(parent.index(-1))
+    # pre-order numbering, children by smallest leaf below; a stack, not a
+    # recursive closure, so that no reference cycle outlives the call
     number: dict[int, int] = {}
-
-    def assign(u: int) -> None:
+    stack = [start]
+    while stack:
+        u = stack.pop()
         number[u] = len(number)
         kids = [w for w in tree.neighbors(u) if w != parent[u] and w not in leaf_of]
-        kids.sort(key=lambda w: below[w] & -below[w])
-        for w in kids:
-            assign(w)
-
-    assign(start)
+        kids.sort(key=lambda w: below[w] & -below[w], reverse=True)
+        stack.extend(kids)
 
     lines = [header]
     for u in number:

@@ -205,7 +205,11 @@ def test_criterion_8_symmetry_and_structure():
         rng = SplitMix64(0x51)
         for i in range(20):
             g = sample_gnp_half(6, mix_seed(0x51, i))
-            perm = list(rng.sample_indices(6, 6))
+            perm = list(range(6))  # Fisher-Yates: sample_indices returns sorted
+            for j in range(5, 0, -1):
+                k = rng.randbelow(j + 1)
+                perm[j], perm[k] = perm[k], perm[j]
+            assert perm != list(range(6))
             h = g.relabel(perm)
             assert rankwidth(g).value == rankwidth(h).value
             assert booleanwidth(g).value == booleanwidth(h).value

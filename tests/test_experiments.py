@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 
 from widthlab import (
+    CUT_RANK_FUNCTION,
     ExperimentConfig,
+    balanced_cut_lower_bound,
     bell,
     bell_asymptotic_check,
+    booleanwidth,
     boolw_vs_rw_experiment,
     envelope_curve,
     galois_number,
@@ -16,6 +19,8 @@ from widthlab import (
     log2_int,
     mix_seed,
     rank,
+    rankwidth,
+    sample_gnp_half,
     sample_matrix,
     scaling_experiment,
     submatrix,
@@ -113,6 +118,16 @@ class TestScalingExperiment:
         for rec in report.records:
             assert rec["lb"] <= rec["rw"] <= rec["n"] - 1
             assert rec["rw_over_n"] == rec["rw"] / rec["n"]
+
+    def test_records_match_the_public_engines(self):
+        # The trial takes lb from the rank table before its DP runs.  Read
+        # after the DP, these seeds give a larger lb on some small graphs.
+        report = scaling_experiment(small_cfg("scaling", n_values=(4, 5, 6), trials=12))
+        for rec in report.records:
+            g = sample_gnp_half(rec["n"], rec["seed"])
+            assert rec["rw"] == int(rankwidth(g).value)
+            assert rec["boolw"] == booleanwidth(g).value
+            assert rec["lb"] == int(balanced_cut_lower_bound(g, CUT_RANK_FUNCTION)[0])
 
     def test_cap_rejected(self):
         with pytest.raises(Exception, match="cap"):

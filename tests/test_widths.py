@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import math
 
 import pytest
@@ -10,6 +12,7 @@ from widthlab import (
     Cut,
     CutFunction,
     DecompositionTree,
+    ExperimentConfig,
     Graph,
     ParseError,
     SplitMix64,
@@ -18,6 +21,7 @@ from widthlab import (
     booleanwidth,
     brute_force_f_width,
     complete_graph,
+    cut_bool,
     cut_rank,
     cycle_graph,
     emit_tree,
@@ -30,12 +34,13 @@ from widthlab import (
     path_graph,
     rankwidth,
     sample_gnp_half,
+    scaling_experiment,
     tree_cuts,
     tree_width_under,
 )
 from widthlab.boolspace import _cut_bool_count_bits
 from widthlab.graphs import _cut_rank_bits
-from widthlab.widths import _bits_eval
+from widthlab.widths import _balanced_min, _bits_eval, _cut_table
 
 
 def caterpillar(n):
@@ -490,13 +495,105 @@ class TestBalancedCutLowerBound:
 class TestRelabelInvariance:
     def test_widths_invariant(self):
         rng = SplitMix64(616)
-        for _ in range(6):
-            n = 6
+        for n in range(6, 11):
+            for _ in range(2):
+                g = sample_gnp_half(n, rng.next_word())
+                perm = shuffled(n, rng)
+                assert perm != list(range(n))
+                h = g.relabel(perm)
+                assert rankwidth(g).value == rankwidth(h).value
+                assert booleanwidth(g).value == booleanwidth(h).value
+                for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                    assert (
+                        balanced_cut_lower_bound(g, f)[0] == balanced_cut_lower_bound(h, f)[0]
+                    )
+
+
+def _named_graphs(n):
+    return [complete_graph(n), path_graph(n), cycle_graph(n), empty_graph(n)]
+
+
+class TestHalfFilledCutTable:
+    """The built-ins' tables are filled from one side of each complementary
+    pair; every other function, copies of the built-ins included, is filled
+    and audited on every subset."""
+
+    def assert_table_is_per_subset(self, g):
+        rank = _cut_table(g, CUT_RANK_FUNCTION)
+        boolean = _cut_table(g, CUT_BOOL_FUNCTION)
+        assert len(rank) == len(boolean) == 1 << g.n
+        for bits in range(1 << g.n):
+            cut = Cut(bits, g.n)
+            assert rank[bits] == float(cut_rank(g, cut))
+            assert boolean[bits] == cut_bool(g, cut)
+            assert type(rank[bits]) is type(boolean[bits]) is float
+
+    def test_random_graphs_every_subset(self):
+        rng = SplitMix64(8181)
+        for n in range(1, 13):
+            self.assert_table_is_per_subset(sample_gnp_half(n, rng.next_word()))
+
+    def test_named_graphs_every_subset(self):
+        for g in _named_graphs(12):
+            self.assert_table_is_per_subset(g)
+
+    def test_copies_take_the_full_path(self):
+        rng = SplitMix64(8282)
+        for n in (2, 5, 9, 11):
             g = sample_gnp_half(n, rng.next_word())
-            perm = list(rng.sample_indices(n, n))
-            h = g.relabel(perm)
-            assert rankwidth(g).value == rankwidth(h).value
-            assert booleanwidth(g).value == booleanwidth(h).value
+            for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                seen = []
+
+                def counted(graph, bits, be=f.bits_evaluate):
+                    seen.append(bits)
+                    return be(graph, bits)
+
+                copy = dataclasses.replace(f, bits_evaluate=counted)
+                assert _cut_table(g, copy) == _cut_table(g, f)
+                assert sorted(set(seen)) == list(range(1 << n))
+                res, ref = exact_f_width(g, copy), exact_f_width(g, f)
+                assert repr(res.value) == repr(ref.value)
+                assert emit_tree(res.witness_tree) == emit_tree(ref.witness_tree)
+                assert res.witness_cut == ref.witness_cut
+
+    def test_copy_is_audited_on_every_pair(self):
+        # 0x11 lies outside the seeded sample at n = 6; a copy of a built-in
+        # that is asymmetric only there must still be rejected.
+        def skewed(graph, bits):
+            return 9.0 if bits == 0x11 else float(_cut_rank_bits(graph, bits))
+
+        copy = dataclasses.replace(CUT_RANK_FUNCTION, bits_evaluate=skewed)
+        with pytest.raises(ContractError, match="'rank' is not symmetric at subset 0x11"):
+            exact_f_width(sample_gnp_half(6, 1), copy)
+
+
+class TestBalancedMinOnTheTable:
+    def test_matches_the_public_bound(self):
+        rng = SplitMix64(8383)
+        for n in range(3, 15):
+            for g in [sample_gnp_half(n, rng.next_word())] + _named_graphs(n):
+                value, bits = _balanced_min(_cut_table(g, CUT_RANK_FUNCTION).__getitem__, n)
+                lb, cut = balanced_cut_lower_bound(g, CUT_RANK_FUNCTION)
+                assert repr(value) == repr(lb)
+                assert bits == cut.bits
+
+
+class TestNoReferenceCycles:
+    def test_engine_calls_leave_no_cyclic_garbage(self):
+        # A cycle would keep each call's 2^n table alive until the cyclic
+        # collector runs.  (brute_force_f_width is left out: its tree
+        # generator recurses through a closure, as an oracle may.)
+        g = sample_gnp_half(10, 5)
+        cfg = ExperimentConfig(name="scaling", n_values=(8,), trials=1, master_seed=3)
+        gc.collect()
+        gc.disable()
+        try:
+            emit_tree(exact_f_width(g, CUT_RANK_FUNCTION).witness_tree)
+            exact_f_width(g, CUT_BOOL_FUNCTION)
+            scaling_experiment(cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTheoremChainPerCut:
