@@ -9,6 +9,7 @@ WIDTHLAB_SEED serves as the master seed when --seed is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from itertools import groupby
@@ -62,7 +63,6 @@ def _resolve_seed(args, parser: argparse.ArgumentParser) -> int:
         except ValueError:
             parser.error(f"WIDTHLAB_SEED={env!r} is not an integer")
     parser.error("a seed is required: pass --seed or set WIDTHLAB_SEED")
-    raise AssertionError("unreachable")
 
 
 def _read_text(path: str) -> str:
@@ -144,16 +144,13 @@ def _lb_text(graph: Graph, args) -> str:
     return f"{_format_value(args.measure, value)} {members}\n"
 
 
-_BATCH = {"width": _width_text, "lb": _lb_text}
-
-
 def _cmd_batch(args, parser) -> int:
     """Run `width` or `lb` per input graph; a failed graph prints only to stderr."""
     failed = False
     for idx, (lineno, text) in enumerate(_graph_texts(args.input, args.input_format)):
         try:
             graph = _parse_graph(lineno, text, args.input_format)
-            sys.stdout.write(f"{idx} {_BATCH[args.command](graph, args)}")
+            sys.stdout.write(f"{idx} {args.text(graph, args)}")
         except (WidthlabError, ValueError) as exc:
             print(f"{idx} error: {exc}", file=sys.stderr)
             failed = True
@@ -179,8 +176,8 @@ _EXPERIMENTS = {
 
 # table name -> (n list -> Table, per-column float formats for stdout)
 _TABLES = {
-    "envelope": (envelope_curve, {"envelope": "{:.6e}"}),
     "bell": (lambda ns: bell_asymptotic_check(max(ns)), None),
+    "envelope": (envelope_curve, {"envelope": "{:.6e}"}),
 }
 
 
@@ -226,6 +223,10 @@ def _cmd_oracle(args, parser) -> int:
     return 0
 
 
+# One parser per process, built on first use so that importing the module
+# stays cheap.  Each subcommand carries its handler as `run`; width and lb
+# also carry their per-graph `text`.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="widthlab",
@@ -239,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, help="master seed (or WIDTHLAB_SEED)")
     p_gen.add_argument("--count", type=int, default=1, help="number of graphs")
     p_gen.add_argument("--format", choices=("g6", "edges"), default="g6")
+    p_gen.set_defaults(run=_cmd_gen)
 
     inputs = argparse.ArgumentParser(add_help=False)
     inputs.add_argument("--measure", choices=("rank", "bool"), default="rank")
@@ -250,19 +252,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_width.add_argument(
         "--cap", type=int, default=DEFAULT_EXACT_CAP, help="exact engine vertex cap"
     )
+    p_width.set_defaults(run=_cmd_batch, text=_width_text)
 
     p_lb = sub.add_parser("lb", parents=[inputs], help="balanced-cut lower bound per input graph")
     p_lb.add_argument("--cap", type=int, default=BALANCED_CAP, help="balanced enumeration cap")
+    p_lb.set_defaults(run=_cmd_batch, text=_lb_text)
 
     p_check = sub.add_parser(
         "check", parents=[inputs], help="re-evaluate a serialized tree on a graph"
     )
     p_check.add_argument("--tree", required=True, help="path to a serialized tree")
+    p_check.set_defaults(run=_cmd_check)
 
     p_exp = sub.add_parser("exp", help="run a seeded experiment, write a report")
-    p_exp.add_argument(
-        "experiment", choices=("lemma1", "scaling", "boolw-rw", "bell", "envelope")
-    )
+    p_exp.add_argument("experiment", choices=(*_EXPERIMENTS, *_TABLES))
     p_exp.add_argument("--seed", type=int, help="master seed (or WIDTHLAB_SEED)")
     p_exp.add_argument("--n-list", required=True, help="e.g. 6,9,12 or 3..12")
     p_exp.add_argument("--trials", type=int, default=10)
@@ -277,8 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_PAIR_CAP,
         help="lemma1 runs exhaustively while C(n,m)*2^m + C(n,k) is at most this",
     )
+    p_exp.set_defaults(run=_cmd_exp)
 
     p_oracle = sub.add_parser("oracle", help="exact counting oracles")
+    p_oracle.set_defaults(run=_cmd_oracle)
     oracle_sub = p_oracle.add_subparsers(dest="oracle", required=True)
     p_rd = oracle_sub.add_parser("rankdist", help="exact rank distribution of m x n")
     p_rd.add_argument("--m", type=int, required=True)
@@ -291,21 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "width": _cmd_batch,
-    "lb": _cmd_batch,
-    "check": _cmd_check,
-    "exp": _cmd_exp,
-    "oracle": _cmd_oracle,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args, parser)
+        return args.run(args, parser)
     except BrokenPipeError:
         return 1
     except (WidthlabError, ValueError, OSError) as exc:

@@ -97,10 +97,12 @@ def _check_not_repeated(n_values: tuple[int, ...], i: int) -> None:
 class _Spec:
     """What sets one experiment apart; `_run_experiment` does the rest.
 
+    `name` is the experiment's, which its config must carry.
     `trial(cfg, n, seed)` returns a record's columns after n, trial and seed;
     `summarize(n, rows)` returns a summary's fields after n and trials.
     """
 
+    name: str
     trial: Callable[[ExperimentConfig, int, int], dict]
     columns: tuple[str, ...]
     summarize: Callable[[int, list[dict]], dict]
@@ -133,6 +135,8 @@ def _run_trials(cfg: ExperimentConfig, trial: Callable, jobs: int) -> list[dict]
 
 
 def _run_experiment(spec: _Spec, cfg: ExperimentConfig, jobs: int) -> ExperimentReport:
+    if cfg.name != spec.name:
+        raise ValueError(f"the {spec.name} experiment was given a config named {cfg.name!r}")
     _validate_config(cfg, spec.min_n)
     if spec.width_capped:
         for n in cfg.n_values:
@@ -185,7 +189,9 @@ def _lemma1_summary(n: int, rows: list[dict]) -> dict:
     }
 
 
-_LEMMA1 = _Spec(_lemma1_trial, LEMMA1_COLUMNS, _lemma1_summary, min_n=3, width_capped=False)
+_LEMMA1 = _Spec(
+    "lemma1", _lemma1_trial, LEMMA1_COLUMNS, _lemma1_summary, min_n=3, width_capped=False
+)
 
 
 def lemma1_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -229,7 +235,9 @@ def _scaling_summary(n: int, rows: list[dict]) -> dict:
     }
 
 
-_SCALING = _Spec(_scaling_trial, SCALING_COLUMNS, _scaling_summary, min_n=3, width_capped=True)
+_SCALING = _Spec(
+    "scaling", _scaling_trial, SCALING_COLUMNS, _scaling_summary, min_n=3, width_capped=True
+)
 
 
 def scaling_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -287,7 +295,9 @@ def _boolw_rw_summary(n: int, rows: list[dict]) -> dict:
     }
 
 
-_BOOLW_RW = _Spec(_boolw_rw_trial, BOOLW_RW_COLUMNS, _boolw_rw_summary, min_n=1, width_capped=True)
+_BOOLW_RW = _Spec(
+    "boolw-rw", _boolw_rw_trial, BOOLW_RW_COLUMNS, _boolw_rw_summary, min_n=1, width_capped=True
+)
 
 
 def boolw_vs_rw_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -348,27 +358,31 @@ def bell_asymptotic_check(n_max: int) -> Table:
 # --- serialization ---
 
 
-def _format_cell(value) -> str:
+def _cell(value, float_format: Callable[[float], str] = repr) -> str:
+    """One report or table cell: lists space-joined, floats by float_format."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
         return " ".join(str(v) for v in value)
     if isinstance(value, float):
-        return repr(value)
+        return float_format(value)
     return str(value)
 
 
-def _config_lines(report: ExperimentReport) -> list[str]:
-    cfg = report.config
-    return [
-        f"# experiment={cfg.name}",
-        f"# generator={report.generator}",
-        f"# version={report.version}",
-        f"# master_seed={cfg.master_seed}",
-        "# n_values=" + " ".join(str(n) for n in cfg.n_values),
-        f"# trials={cfg.trials}",
-        f"# mode={cfg.mode}",
-    ]
+def _write(path, fmt: str, what: str, columns, rows, objects, preamble=()) -> None:
+    """Write rows as CSV (preamble, header, full-precision cells) or objects as JSON lines."""
+    if fmt == "csv":
+        lines = [*preamble, ",".join(columns)]
+        lines += (",".join(_cell(v) for v in row) for row in rows)
+    elif fmt == "jsonl":
+        lines = [json.dumps(obj, separators=(",", ":")) for obj in objects]
+    else:
+        raise ValueError(f"unknown {what} format {fmt!r}")
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def write_report(report: ExperimentReport, fmt: str, path) -> None:
@@ -378,36 +392,24 @@ def write_report(report: ExperimentReport, fmt: str, path) -> None:
     in the JSON form and on stdout).  JSONL: one object per trial, then a
     final object carrying config, generator, version and summaries.
     """
-    if fmt == "csv":
-        rows = ([rec[c] for c in report.columns] for rec in report.records)
-        lines = _config_lines(report) + _csv_lines(report.columns, rows)
-    elif fmt == "jsonl":
-        tail = {
-            "config": asdict(report.config),
-            "generator": report.generator,
-            "version": report.version,
-            "summaries": list(report.summaries),
-        }
-        lines = _json_lines([*report.records, tail])
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    _write_lines(path, lines, "report")
-
-
-def _csv_lines(columns: tuple[str, ...], rows) -> list[str]:
-    return [",".join(columns)] + [",".join(_format_cell(v) for v in row) for row in rows]
-
-
-def _json_lines(objects) -> list[str]:
-    return [json.dumps(obj, separators=(",", ":")) for obj in objects]
-
-
-def _write_lines(path, lines: list[str], what: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("".join(line + "\n" for line in lines))
-    except OSError as exc:
-        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+    cfg = report.config
+    preamble = (
+        f"# experiment={cfg.name}",
+        f"# generator={report.generator}",
+        f"# version={report.version}",
+        f"# master_seed={cfg.master_seed}",
+        "# n_values=" + " ".join(str(n) for n in cfg.n_values),
+        f"# trials={cfg.trials}",
+        f"# mode={cfg.mode}",
+    )
+    rows = ([rec[c] for c in report.columns] for rec in report.records)
+    tail = {
+        "config": asdict(cfg),
+        "generator": report.generator,
+        "version": report.version,
+        "summaries": list(report.summaries),
+    }
+    _write(path, fmt, "report", report.columns, rows, [*report.records, tail], preamble)
 
 
 def render_summary(report: ExperimentReport) -> str:
@@ -418,15 +420,8 @@ def render_summary(report: ExperimentReport) -> str:
         f"generator={report.generator}"
     ]
     for summary in report.summaries:
-        parts = []
-        for key, value in summary.items():
-            if isinstance(value, bool):
-                parts.append(f"{key}={'true' if value else 'false'}")
-            elif isinstance(value, float):
-                parts.append(f"{key}={value:.6f}")
-            else:
-                parts.append(f"{key}={value}")
-        lines.append("  " + " ".join(parts))
+        cells = (f"{key}={_cell(value, '{:.6f}'.format)}" for key, value in summary.items())
+        lines.append("  " + " ".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -437,24 +432,12 @@ def render_table(table: Table, float_formats: dict[str, str] | None = None) -> s
     format per column (the envelope column uses scientific notation).
     """
     fmts = float_formats or {}
-    lines = [" ".join(table.columns)]
-    for row in table.rows:
-        cells = []
-        for col, value in zip(table.columns, row):
-            if isinstance(value, float):
-                cells.append(fmts.get(col, "{:.6f}").format(value))
-            else:
-                cells.append(str(value))
-        lines.append(" ".join(cells))
-    return "\n".join(lines) + "\n"
+    formats = [fmts.get(col, "{:.6f}").format for col in table.columns]
+    rows = (" ".join(map(_cell, row, formats)) for row in table.rows)
+    return "\n".join([" ".join(table.columns), *rows]) + "\n"
 
 
 def write_table(table: Table, fmt: str, path) -> None:
     """Write a Table as CSV (full-precision cells) or JSON lines."""
-    if fmt == "csv":
-        lines = _csv_lines(table.columns, table.rows)
-    elif fmt == "jsonl":
-        lines = _json_lines(dict(zip(table.columns, row)) for row in table.rows)
-    else:
-        raise ValueError(f"unknown table format {fmt!r}")
-    _write_lines(path, lines, "table")
+    objects = (dict(zip(table.columns, row)) for row in table.rows)
+    _write(path, fmt, "table", table.columns, table.rows, objects)

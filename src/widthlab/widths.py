@@ -33,10 +33,10 @@ numerically smallest side, so the witness is deterministic.
 
 The engine needs f(X) = f(V \\ X) and f(empty) = 0.  _audit_symmetry checks
 both.  exact_f_width fills a 2^n table of f.  For any cut function it
-evaluates every subset and audits every complementary pair.  The built-in
-cut-rank and boolean cut functions are symmetric by theorem, so for them it
-evaluates each pair once, on the side with fewer vertices, mirrors the
-value and audits a seeded sample of subsets, as the other engines do.
+evaluates every subset and audits every pair.  The built-in cut-rank and
+boolean cut functions are symmetric by theorem: each pair is evaluated once,
+on its smaller side, and a seeded sample is audited once per call, as the
+other engines do, when tree_width_under re-checks the witness.
 """
 
 from __future__ import annotations
@@ -65,10 +65,11 @@ class CutFunction:
     `evaluate` maps (Graph, Cut) to a real value; `bits_evaluate`, when
     given, is a faster path taking the cut as a packed int.  f must satisfy
     f(X) = f(V \\ X) and f(empty) = 0.  exact_f_width checks every
-    complementary pair; the other engines, and exact_f_width on the two
-    built-ins CUT_RANK_FUNCTION and CUT_BOOL_FUNCTION (recognised by
-    identity, so a copy is checked in full), check a seeded sample of
-    subsets.  A violation raises ContractError.
+    complementary pair; the other engines check a seeded sample of subsets,
+    and so does exact_f_width on the two built-ins CUT_RANK_FUNCTION and
+    CUT_BOOL_FUNCTION (recognised by identity, so a copy is checked in
+    full), once per call, at the witness re-check.  A violation raises
+    ContractError.
     """
 
     name: str
@@ -250,9 +251,9 @@ def _cut_table(graph: Graph, f: CutFunction) -> list[float]:
     The two built-ins are symmetric by theorem: a matrix and its transpose
     have the same GF(2) rank, and a 0/1 matrix has as many distinct row
     unions as column unions.  For them each complementary pair is evaluated
-    once, on the side with fewer vertices, and only the seeded sample is
-    audited.  Any other function is evaluated on every subset and audited on
-    every pair.
+    once, on the side with fewer vertices; their seeded sample is audited
+    once per exact_f_width call, when _verified re-checks the witness.  Any
+    other function is evaluated on every subset and audited on every pair.
     """
     n = graph.n
     ev = _bits_eval(graph, f)
@@ -266,7 +267,6 @@ def _cut_table(graph: Graph, f: CutFunction) -> list[float]:
         low = [intern((type(v), v), v) if v else v for v in map(ev, sides)]
         # the upper half mirrors the lower one: table[full ^ s] = table[s]
         table = low + low[::-1]
-        _spot_check_symmetry(graph, f, ev)
     else:
         table = [intern((type(v), v), v) if v else v for v in map(ev, range(1 << n))]
         _audit_symmetry(f, table.__getitem__, n, range(1 << (n - 1)))
@@ -315,14 +315,14 @@ def exact_f_width(
     Subset dynamic programming over the exact table g[S] = max(f(S), c(S)),
     at most O(3^n) side lookups with f memoized in a 2^n table, evaluated
     against the global complement throughout and audited for symmetry (on
-    every complementary pair, or on a seeded sample for the two built-ins;
-    see _cut_table).  The sides T of S run in increasing order
-    over the non-empty subsets of S without its top bit; a side with
-    g[T] >= best is skipped, and the scan of S stops once best <= f(S).
-    The witness tree is rebuilt from g, top-down, by a full scan at each of
-    its internal nodes only, and re-evaluated with tree_width_under.  Ties
-    between optimal splits resolve to the numerically smallest side, so the
-    witness tree is deterministic.
+    every pair before the DP, or for the two built-ins on a seeded sample
+    at the witness re-check; see _cut_table).  The sides T of S run in
+    increasing order over the non-empty subsets of S without its top bit;
+    a side with g[T] >= best is skipped, and the scan of S stops once
+    best <= f(S).  The witness tree is rebuilt from g, top-down, by a full
+    scan at each of its internal nodes only, and re-evaluated with
+    tree_width_under.  Ties between optimal splits resolve to the
+    numerically smallest side, so the witness tree is deterministic.
     """
     n = graph.n
     if n > n_cap:

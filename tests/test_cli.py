@@ -323,3 +323,22 @@ class TestCounts:
 
     def test_gen_zero_count_writes_nothing(self):
         assert run_cli(["gen", "--n", "3", "--seed", "1", "--count", "0"]) == (0, "", "")
+
+
+class TestReusedParser:
+    """The parser is built once per process; no call may leave state for the next."""
+
+    def test_witness_flag_does_not_stick(self, tmp_path):
+        path = write_graphs(tmp_path, [cycle_graph(6)])
+        code, out, _ = run_cli(["width", "--witness", "--input", path])
+        assert code == 0 and out.splitlines()[1] == "tree 6"
+        assert run_cli(["width", "--input", path]) == (0, "0 2\n", "")
+
+    def test_cap_does_not_stick(self, tmp_path):
+        from widthlab import sample_gnp_half
+
+        path = write_graphs(tmp_path, [sample_gnp_half(10, 7)])
+        code, out, err = run_cli(["lb", "--cap", "5", "--input", path])
+        assert (code, out) == (2, "") and err.startswith("0 error:")
+        code, out, err = run_cli(["lb", "--input", path])
+        assert (code, err) == (0, "") and out.startswith("0 ")

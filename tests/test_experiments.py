@@ -55,6 +55,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="n = 4 appears more than once"):
             lemma1_experiment(small_cfg("lemma1", n_values=(3, 4, 5, 4)))
 
+    @pytest.mark.parametrize(
+        "run, name, other",
+        [
+            (lemma1_experiment, "lemma1", "scaling"),
+            (scaling_experiment, "scaling", "boolw-rw"),
+            (boolw_vs_rw_experiment, "boolw-rw", "lemma1"),
+        ],
+    )
+    def test_config_named_for_another_experiment(self, run, name, other):
+        # the name is echoed in every report, so it must be the one that ran
+        message = f"the {name} experiment was given a config named '{other}'"
+        with pytest.raises(ValueError, match=message):
+            run(small_cfg(other))
+
 
 class TestLemma1Experiment:
     def test_trial_records_verify_at_witness(self):

@@ -1,0 +1,27 @@
+"""The scripts under tools/ stay runnable against the current package."""
+
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def test_code_lines_total_is_the_sum_of_the_modules():
+    run = subprocess.run(
+        [sys.executable, str(TOOLS / "code_lines.py")], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    rows = [line.split() for line in run.stdout.splitlines()]
+    *modules, (name, total) = rows
+    assert name == "total"
+    assert modules and all(module.endswith(".py") for module, _ in modules)
+    assert int(total) == sum(int(count) for _, count in modules)
+
+
+def test_fill_timing_imports_resolve():
+    # loaded without running main: its imports of private engine names
+    # must still resolve
+    namespace = runpy.run_path(str(TOOLS / "fill_timing.py"), run_name="tools")
+    assert callable(namespace["main"])

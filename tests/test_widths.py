@@ -24,6 +24,7 @@ from widthlab import (
     cut_bool,
     cut_rank,
     cycle_graph,
+    emit_graph6,
     emit_tree,
     empty_graph,
     exact_f_width,
@@ -38,9 +39,12 @@ from widthlab import (
     tree_cuts,
     tree_width_under,
 )
+from widthlab import boolspace, widths
 from widthlab.boolspace import _cut_bool_count_bits
 from widthlab.graphs import _cut_rank_bits
 from widthlab.widths import _balanced_min, _bits_eval, _cut_table
+
+from conftest import run_cli
 
 
 def caterpillar(n):
@@ -567,6 +571,40 @@ class TestHalfFilledCutTable:
             exact_f_width(sample_gnp_half(6, 1), copy)
 
 
+    def test_builtins_audited_once_per_call(self, monkeypatch):
+        # 2^(n-1) table cells, the 69 evaluations of the seeded sample audit
+        # at the witness re-check, and the witness tree's 2n - 3 cuts.
+        counts = {"rank": 0, "bool": 0}
+
+        def counting(key, inner):
+            def counted(*args):
+                counts[key] += 1
+                return inner(*args)
+
+            return counted
+
+        monkeypatch.setattr(widths, "_cut_rank_bits", counting("rank", _cut_rank_bits))
+        monkeypatch.setattr(
+            boolspace, "_cut_bool_count_bits", counting("bool", _cut_bool_count_bits)
+        )
+        n = 10
+        g = sample_gnp_half(n, 4)
+        for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+            exact_f_width(g, f)
+            assert counts[f.name] == 2 ** (n - 1) + 69 + (2 * n - 3) == 598
+
+    def test_asymmetric_builtin_still_rejected(self, monkeypatch):
+        # Skewed only on sides with more than n/2 vertices, which the fill
+        # never evaluates: the DP runs, and the audit after it must object.
+        def skewed(graph, bits):
+            extra = 1 if 2 * bits.bit_count() > graph.n else 0
+            return _cut_rank_bits(graph, bits) + extra
+
+        monkeypatch.setattr(widths, "_cut_rank_bits", skewed)
+        with pytest.raises(ContractError, match="'rank' is not symmetric"):
+            exact_f_width(sample_gnp_half(8, 1), CUT_RANK_FUNCTION)
+
+
 class TestBalancedMinOnTheTable:
     def test_matches_the_public_bound(self):
         rng = SplitMix64(8383)
@@ -592,6 +630,29 @@ class TestNoReferenceCycles:
             exact_f_width(g, CUT_BOOL_FUNCTION)
             scaling_experiment(cfg)
             assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestCliNoReferenceCycles:
+    def test_reused_parser_leaves_no_cyclic_garbage(self, tmp_path):
+        # the parser is built once, on the warm-up call; no later call may
+        # leave objects for the cyclic collector
+        path = tmp_path / "in.g6"
+        path.write_text("".join(emit_graph6(sample_gnp_half(8, s)) + "\n" for s in (1, 2)))
+        calls = [
+            ["width", "--witness", "--input", str(path)],
+            ["lb", "--input", str(path)],
+            ["gen", "--n", "6", "--seed", "3", "--count", "2"],
+            ["exp", "bell", "--n-list", "3..8"],
+        ]
+        assert run_cli(calls[0])[0] == 0
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in calls:
+                assert run_cli(argv)[0] == 0
+                assert gc.collect() == 0, argv
         finally:
             gc.enable()
 
