@@ -11,7 +11,9 @@ random graph, cut by cut of its optimal trees.
 from widthlab import (
     bell,
     bell_asymptotic_check,
+    boolean_row_space_size,
     booleanwidth,
+    cut_matrix,
     cut_rank,
     galois_number,
     gaussian_binomial,
@@ -21,7 +23,6 @@ from widthlab import (
     sample_gnp_half,
     tree_cuts,
 )
-from widthlab.boolspace import _cut_bool_count_bits
 
 
 def main():
@@ -39,7 +40,7 @@ def main():
 
     print("\nper-cut audit on the rankwidth-optimal tree:")
     for cut in tree_cuts(rw_res.witness_tree):
-        unions = _cut_bool_count_bits(g, cut.bits)
+        unions = boolean_row_space_size(cut_matrix(g, cut)).count
         r = cut_rank(g, cut)
         print(f"  X={cut.members}: {unions} unions <= G_{r} = {galois_number(r)}")
 

@@ -19,7 +19,8 @@ from .errors import BooleanSpaceOverflow, CapExceeded
 from .gf2 import BitMatrix
 from .graphs import Cut, Graph, _check_cut, _cut_rows
 
-# Closure member cap: 2^20 members covers every cut of graphs up to n = 40.
+# Closure member cap of cut_bool, and boolean_row_space_size's default: 2^20
+# members covers every cut of graphs up to n = 40.
 DEFAULT_SPACE_CAP = 1 << 20
 
 BELL_CAP = 500
@@ -61,30 +62,31 @@ def boolean_row_space_size(matrix: BitMatrix, cap: int = DEFAULT_SPACE_CAP) -> B
     return BooleanSpaceSize(count, math.log2(count))
 
 
-def cut_bool(graph: Graph, cut: Cut, cap: int = DEFAULT_SPACE_CAP) -> float:
+def cut_bool(graph: Graph, cut: Cut) -> float:
     """Boolean cut function: log2 #(distinct neighborhood unions across the cut).
 
     Equals log2 of boolean_row_space_size of the cut matrix A[X, V \\ X];
-    exactly 0.0 when X is empty or the whole vertex set.
+    exactly 0.0 when X is empty or the whole vertex set.  Raises
+    BooleanSpaceOverflow past DEFAULT_SPACE_CAP members.
     """
     _check_cut(graph, cut)
-    return _cut_bool_bits(graph, cut.bits, cap)
+    return _cut_bool_bits(graph, cut.bits)
 
 
-def _cut_bool_bits(graph: Graph, bits: int, cap: int = DEFAULT_SPACE_CAP) -> float:
-    return math.log2(_cut_bool_count_bits(graph, bits, cap))
+def _cut_bool_bits(graph: Graph, bits: int) -> float:
+    return math.log2(_cut_bool_count_bits(graph, bits))
 
 
-def _cut_bool_count_bits(graph: Graph, bits: int, cap: int = DEFAULT_SPACE_CAP) -> int:
-    return _closure_size(_cut_rows(graph, bits), cap)
+def _cut_bool_count_bits(graph: Graph, bits: int) -> int:
+    return _closure_size(_cut_rows(graph, bits), DEFAULT_SPACE_CAP)
 
 
-def bell(n: int, cap: int = BELL_CAP) -> int:
-    """Bell number B_n (partitions of an n-set), via the Bell triangle."""
+def bell(n: int) -> int:
+    """Bell number B_n (partitions of an n-set), via the Bell triangle; n <= BELL_CAP."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"bell({n}) exceeds the n <= {cap} cap")
+    if n > BELL_CAP:
+        raise CapExceeded(f"bell({n}) exceeds the n <= {BELL_CAP} cap")
     row = [1]
     for _ in range(n):
         nxt = [row[-1]]

@@ -340,21 +340,13 @@ def parse_matrix_text(text: str) -> BitMatrix:
     body = lines[1 : 1 + m]
     if len(body) != m:
         raise ValueError(f"expected {m} rows, found {len(body)}")
-    data = []
     for i, line in enumerate(body):
         if len(line) != n or set(line) - {"0", "1"}:
             raise ValueError(f"row {i} is not {n} characters of 0/1: {line!r}")
-        word = 0
-        for j, ch in enumerate(line):
-            if ch == "1":
-                word |= 1 << j
-        data.append(word)
-    return BitMatrix(m, n, data)
+    return BitMatrix.from_rows([[int(ch) for ch in line] for line in body], n)
 
 
 def format_matrix_text(matrix: BitMatrix) -> str:
     lines = [f"{matrix.rows} {matrix.cols}"]
-    for i in range(matrix.rows):
-        word = matrix.row_bits(i)
-        lines.append("".join("1" if (word >> j) & 1 else "0" for j in range(matrix.cols)))
+    lines.extend("".join(map(str, row)) for row in matrix.to_lists())
     return "\n".join(lines) + "\n"

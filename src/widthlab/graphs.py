@@ -66,10 +66,6 @@ class Graph:
     def adjacency(self) -> BitMatrix:
         return BitMatrix(self.n, self.n, self._adj)
 
-    def adjacency_row(self, v: int) -> int:
-        """Packed neighborhood N(v)."""
-        return self._adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self._adj[u] >> v) & 1)
 
@@ -149,15 +145,7 @@ def sample_gnp_half(n: int, seed: int) -> Graph:
 
 
 def _sample_gnp_from(rng: SplitMix64, n: int) -> Graph:
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.next_bits(1):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Graph(n, adj)
+    return Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.next_bits(1)])
 
 
 def _check_cut(graph: Graph, cut: Cut) -> None:
@@ -224,27 +212,22 @@ def empty_graph(n: int) -> Graph:
 # --- graph6 ---
 #
 # Standard format: optional ">>graph6<<" header, N(n) length field, then the
-# upper triangle bits in column-major order (for j in 1..n-1, bits (0,j) ..
-# (j-1,j)), packed big-endian into 6-bit groups, each group offset by 63.
+# upper triangle bits in column-major order (_g6_pairs), packed big-endian
+# into 6-bit groups, zero-padded, each group offset by 63.
 
 _G6_HEADER = ">>graph6<<"
 
 
+def _g6_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """The pairs i < j in graph6 bit order: for j in 1..n-1, (0,j) .. (j-1,j)."""
+    return ((i, j) for j in range(1, n) for i in range(j))
+
+
 def emit_graph6(graph: Graph) -> str:
-    n = graph.n
-    out = _g6_encode_length(n)
-    bits: list[int] = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if graph.has_edge(i, j) else 0)
-    for g in range(0, len(bits), 6):
-        group = bits[g : g + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        out += chr(63 + val)
-    return out
+    bits = "".join("1" if graph.has_edge(i, j) else "0" for i, j in _g6_pairs(graph.n))
+    bits += "0" * (-len(bits) % 6)
+    body = (chr(63 + int(bits[k : k + 6], 2)) for k in range(0, len(bits), 6))
+    return _g6_encode_length(graph.n) + "".join(body)
 
 
 def _g6_encode_length(n: int) -> str:
@@ -279,25 +262,14 @@ def parse_graph6(text: str) -> Graph:
             f"expected {need} payload characters for n={n}, found {len(body)}",
             position=offset + used,
         )
-    bits: list[int] = []
-    for ch in body:
-        val = ord(ch) - 63
-        for shift in (5, 4, 3, 2, 1, 0):
-            bits.append((val >> shift) & 1)
-    for extra in range(nbits, len(bits)):
-        if bits[extra]:
-            raise ParseError(
-                "nonzero padding bits after the adjacency triangle",
-                position=offset + used + extra // 6,
-            )
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph.from_edges(n, edges)
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    extra = bits.find("1", nbits)
+    if extra >= 0:
+        raise ParseError(
+            "nonzero padding bits after the adjacency triangle",
+            position=offset + used + extra // 6,
+        )
+    return Graph.from_edges(n, [e for e, bit in zip(_g6_pairs(n), bits) if bit == "1"])
 
 
 def _g6_decode_length(s: str, offset: int) -> tuple[int, int]:

@@ -238,7 +238,7 @@ def _audit_symmetry(
 
 
 def _spot_check_symmetry(graph: Graph, f: CutFunction, ev: Callable[[int], float]) -> None:
-    """Sampled symmetry audit run when a cut function enters an engine."""
+    """Sampled symmetry audit: once per engine call, in tree_width_under or the lower bound."""
     n = graph.n
     rng = SplitMix64(mix_seed(0x5F, n))
     sample = [0, (1 << n) - 1] + [rng.next_bits(n) for _ in range(min(32, 1 << n))]
@@ -430,19 +430,18 @@ def _subcubic_trees(n: int):
     yield from rec([(0, 1)], 2)
 
 
-def brute_force_f_width(graph: Graph, f: CutFunction, n_cap: int = BRUTE_FORCE_CAP) -> WidthResult:
-    """Minimum f-width by evaluating every decomposition tree.
+def brute_force_f_width(graph: Graph, f: CutFunction) -> WidthResult:
+    """Minimum f-width over every decomposition tree, for n <= BRUTE_FORCE_CAP.
 
     Exponential ((2n-5)!! trees); the independent oracle for exact_f_width.
     """
     n = graph.n
-    if n > n_cap:
-        raise CapExceeded(f"tree enumeration needs n <= {n_cap}, got n = {n}")
+    if n > BRUTE_FORCE_CAP:
+        raise CapExceeded(f"tree enumeration needs n <= {BRUTE_FORCE_CAP}, got n = {n}")
     if n <= 1:
         return WidthResult(0.0, _trivial_tree(n), Cut(0, n))
 
     ev = _bits_eval(graph, f)
-    _spot_check_symmetry(graph, f, ev)
     full = (1 << n) - 1
     memo: dict[int, float] = {}
 
@@ -534,14 +533,14 @@ def _balanced_min(val: Callable[[int], float], n: int) -> tuple[float, int]:
     return best, best_bits
 
 
-def rankwidth(graph: Graph, n_cap: int = DEFAULT_EXACT_CAP) -> WidthResult:
-    """Exact rankwidth (f-width under the GF(2) cut-rank function)."""
-    return exact_f_width(graph, CUT_RANK_FUNCTION, n_cap)
+def rankwidth(graph: Graph) -> WidthResult:
+    """Exact rankwidth (f-width under GF(2) cut-rank), for n <= DEFAULT_EXACT_CAP."""
+    return exact_f_width(graph, CUT_RANK_FUNCTION)
 
 
-def booleanwidth(graph: Graph, n_cap: int = DEFAULT_EXACT_CAP) -> WidthResult:
-    """Exact booleanwidth (f-width under the boolean cut function)."""
-    return exact_f_width(graph, CUT_BOOL_FUNCTION, n_cap)
+def booleanwidth(graph: Graph) -> WidthResult:
+    """Exact booleanwidth (f-width under cut_bool), for n <= DEFAULT_EXACT_CAP."""
+    return exact_f_width(graph, CUT_BOOL_FUNCTION)
 
 
 # --- witness tree text format ---

@@ -9,6 +9,7 @@ is a behaviour change: fix the code, do not recapture the file.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -37,3 +38,17 @@ def test_demo_stdout(name):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode("utf-8") == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_demo_imports_only_public_names(name):
+    with open(os.path.join(DEMOS, name), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("widthlab")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, private

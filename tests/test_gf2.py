@@ -57,6 +57,30 @@ class TestBitMatrix:
         assert parse_matrix_text("2 3\n101\n010").to_lists() == [[1, 0, 1], [0, 1, 0]]
 
 
+class TestMatrixText:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty matrix text"),
+            ("2\n01", "expected 'm n' on the first line, got '2'"),
+            ("2 3\n010", "expected 2 rows, found 1"),
+            ("2 3\n000\n01", "row 1 is not 3 characters of 0/1: '01'"),
+            ("2 3\n000\n012", "row 1 is not 3 characters of 0/1: '012'"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_matrix_text(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (2, 0), (0, 0)])
+    def test_degenerate_round_trip(self, rows, cols):
+        m = BitMatrix(rows, cols, [0] * rows)
+        text = format_matrix_text(m)
+        assert text == f"{rows} {cols}\n" + "\n" * rows
+        assert parse_matrix_text(text) == m
+
+
 class TestRank:
     def test_zero_identity_equal_rows(self):
         assert rank(BitMatrix(3, 3, [0, 0, 0])) == 0

@@ -189,6 +189,18 @@ class TestGraph6:
         except ParseError as err:
             assert err.position == 1
 
+    def test_format_spec_example(self):
+        # the graph6 format description's own example; round trips alone
+        # cannot catch a bit order changed the same way in both directions
+        g = Graph.from_edges(5, [(0, 2), (0, 4), (1, 3), (3, 4)])
+        assert emit_graph6(g) == "DQc"
+        assert parse_graph6("DQc") == g
+
+    def test_padding_error_position(self):
+        with pytest.raises(ParseError, match="padding") as err:
+            parse_graph6(chr(65) + chr(64))
+        assert err.value.position == 1
+
 
 class TestEdgeList:
     def test_parse_path(self):

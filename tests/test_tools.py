@@ -25,3 +25,15 @@ def test_fill_timing_imports_resolve():
     # must still resolve
     namespace = runpy.run_path(str(TOOLS / "fill_timing.py"), run_name="tools")
     assert callable(namespace["main"])
+
+
+def test_knobs_total_is_the_number_of_listed_parameters():
+    run = subprocess.run(
+        [sys.executable, str(TOOLS / "knobs.py")], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    *listed, last = run.stdout.splitlines()
+    word, total = last.split()
+    assert word == "total"
+    assert listed and all(line.endswith(")") and "(" in line for line in listed)
+    assert int(total) == len(listed)

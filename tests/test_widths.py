@@ -321,6 +321,20 @@ class TestSymmetryContract:
                 run()
 
 
+class TestOneAuditPerCall:
+    def test_each_engine_audits_once(self, monkeypatch):
+        calls = []
+        spot_check = widths._spot_check_symmetry
+        monkeypatch.setattr(
+            widths, "_spot_check_symmetry", lambda *args: calls.append(1) or spot_check(*args)
+        )
+        engines = ("exact", "brute force", "balanced", "tree")
+        for name, run in zip(engines, _all_engines(sample_gnp_half(6, 1), CUT_RANK_FUNCTION)):
+            calls.clear()
+            run()
+            assert len(calls) == 1, name
+
+
 def reference_min_max_dp(graph, f):
     """The full-scan min-max subset DP with split tables: an oracle for exact_f_width.
 
