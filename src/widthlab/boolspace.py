@@ -25,6 +25,9 @@ DEFAULT_SPACE_CAP = 1 << 20
 
 BELL_CAP = 500
 
+# G(200) has 3012 digits; G(240) would pass Python's 4300-digit str() limit.
+GALOIS_CAP = 200
+
 
 @dataclass(frozen=True)
 class BooleanSpaceSize:
@@ -117,9 +120,11 @@ def gaussian_binomial(r: int, k: int) -> int:
 
 
 def galois_number(r: int) -> int:
-    """Total number of subspaces of GF(2)^r: sum of Gaussian binomials."""
+    """Total number of subspaces of GF(2)^r: sum of Gaussian binomials; r <= GALOIS_CAP."""
     if r < 0:
         raise ValueError("r must be nonnegative")
+    if r > GALOIS_CAP:
+        raise CapExceeded(f"galois_number({r}) exceeds the r <= {GALOIS_CAP} cap")
     return sum(gaussian_binomial(r, k) for k in range(r + 1))
 
 

@@ -17,11 +17,10 @@ import math
 import statistics
 import sys
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from ._version import __version__
-from .boolspace import _cut_bool_count_bits, bell, galois_number, log2_int
+from .boolspace import BELL_CAP, _cut_bool_count_bits, bell, galois_number, log2_int
 from .errors import CapExceeded
 from .gf2 import (
     DEFAULT_PAIR_CAP,
@@ -81,16 +80,30 @@ def _validate_config(cfg: ExperimentConfig, min_n: int) -> None:
         raise ValueError("config must request at least one trial")
     if cfg.mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {cfg.mode!r}")
-    for i, n in enumerate(cfg.n_values):
-        if n < min_n:
-            raise ValueError(f"n = {n} below the minimum {min_n} for {cfg.name}")
-        _check_not_repeated(cfg.n_values, i)
+    _check_n_values(cfg.n_values, cfg.name, min_n)
 
 
-def _check_not_repeated(n_values: tuple[int, ...], i: int) -> None:
-    """Reject the i-th n of a list if it already appears earlier in it."""
-    if n_values[i] in n_values[:i]:
-        raise ValueError(f"n = {n_values[i]} appears more than once in the n list")
+def _check_n_values(
+    n_values: tuple[int, ...], name: str, low: int, high: float = math.inf
+) -> None:
+    """Reject the first n, in list order, outside low..high or listed before it."""
+    for i, n in enumerate(n_values):
+        if n < low:
+            raise ValueError(f"n = {n} below the minimum {low} for {name}")
+        if n > high:
+            raise ValueError(f"n = {n} above the maximum {high} for {name}")
+        if n in n_values[:i]:
+            raise ValueError(f"n = {n} appears more than once in the n list")
+
+
+def _spread(key: str, values: list) -> dict:
+    """min_, median_, mean_ and max_<key>, in order; the median is a float for any count."""
+    return {
+        f"min_{key}": min(values),
+        f"median_{key}": float(statistics.median(values)),
+        f"mean_{key}": statistics.fmean(values),
+        f"max_{key}": max(values),
+    }
 
 
 @dataclass(frozen=True)
@@ -166,24 +179,20 @@ def _lemma1_trial(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     matrix = sample_matrix(n, n, seed)
     m = n // 3
     k = -(-2 * n // 3)
-    if cfg.mode == "exhaustive" and exhaustive_work(n, n, m, k) <= cfg.work_cap:
+    certified = cfg.mode == "exhaustive" and exhaustive_work(n, n, m, k) <= cfg.work_cap
+    if certified:
         mu, rset, cset = min_submatrix_rank_exhaustive(matrix, m, k, cfg.work_cap)
-        certified = True
     else:
         mu, rset, cset = min_submatrix_rank_sampled(
             matrix, m, k, cfg.sample_trials, mix_seed(seed, 1)
         )
-        certified = False
     return {"mu": mu, "rowset": list(rset), "colset": list(cset), "certified": certified}
 
 
 def _lemma1_summary(n: int, rows: list[dict]) -> dict:
     mus = [r["mu"] for r in rows]
     return {
-        "min_mu": min(mus),
-        "median_mu": statistics.median(mus),
-        "mean_mu": statistics.fmean(mus),
-        "max_mu": max(mus),
+        **_spread("mu", mus),
         "frac_mu_le_n6": sum(1 for v in mus if v <= n // 6) / len(mus),
         "certified_all": all(r["certified"] for r in rows),
     }
@@ -223,12 +232,8 @@ def _scaling_trial(cfg: ExperimentConfig, n: int, seed: int) -> dict:
 
 
 def _scaling_summary(n: int, rows: list[dict]) -> dict:
-    rws = [r["rw"] for r in rows]
     return {
-        "min_rw": min(rws),
-        "median_rw": statistics.median(rws),
-        "mean_rw": statistics.fmean(rws),
-        "max_rw": max(rws),
+        **_spread("rw", [r["rw"] for r in rows]),
         "mean_boolw": statistics.fmean(r["boolw"] for r in rows),
         "max_lb": max(r["lb"] for r in rows),
         "min_rw_over_n": min(r["rw_over_n"] for r in rows),
@@ -315,21 +320,16 @@ def boolw_vs_rw_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentRe
 
 
 def envelope_curve(n_values) -> Table:
-    """Union-bound envelope 3^(3n) * 2^(-n^2), exactly and in log space.
+    """Union-bound envelope 3^(3n) * 2^(-n^2), exactly and in log space, n <= BELL_CAP.
 
     The log2 column is the closed form 3n*log2(3) - n^2; the value column is
     the exact rational rounded to the nearest float (0.0 once it underflows).
     """
-    rows = []
     n_values = tuple(n_values)
-    for i, n in enumerate(n_values):
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        _check_not_repeated(n_values, i)
-        log2_env = 3 * n * math.log2(3) - n * n
-        value = float(Fraction(3 ** (3 * n), 2 ** (n * n)))
-        rows.append((n, log2_env, value))
-    return Table(columns=("n", "log2_envelope", "envelope"), rows=tuple(rows))
+    _check_n_values(n_values, "envelope", 0, BELL_CAP)
+    # int / int is correctly rounded
+    rows = tuple((n, 3 * n * math.log2(3) - n * n, 3 ** (3 * n) / 2 ** (n * n)) for n in n_values)
+    return Table(columns=("n", "log2_envelope", "envelope"), rows=rows)
 
 
 def bell_asymptotic_check(n_max: int) -> Table:
@@ -338,8 +338,8 @@ def bell_asymptotic_check(n_max: int) -> Table:
     Asserts log2 B_n <= n*log2(n) on 3..n_max and reports the margin of the
     sharper n*(log2 n - log2 log2 (n-1)) form without asserting any constant.
     """
-    if not 3 <= n_max <= 500:
-        raise ValueError("n_max must be between 3 and 500")
+    if not 3 <= n_max <= BELL_CAP:
+        raise ValueError(f"n_max must be between 3 and {BELL_CAP}")
     rows = []
     for n in range(3, n_max + 1):
         log2_bell = log2_int(bell(n))

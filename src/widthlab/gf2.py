@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ParseError
 from .rng import SplitMix64
 
 # Default ceiling on `exhaustive_work` of the exhaustive submatrix minimizer.
@@ -329,20 +329,27 @@ def min_submatrix_rank_sampled(
 
 
 def parse_matrix_text(text: str) -> BitMatrix:
-    """Parse the test fixture format: first line "m n", then m rows of 0/1."""
+    """Parse the test fixture format: first line "m n", then m rows of 0/1.
+
+    Only blank lines may follow the rows.  A ParseError's position is the
+    1-based line it points at.
+    """
     lines = text.splitlines()
     if not lines:
-        raise ValueError("empty matrix text")
+        raise ParseError("empty matrix text", position=1)
     head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"expected 'm n' on the first line, got {lines[0]!r}")
+    if len(head) != 2 or not all(tok.isdecimal() for tok in head):
+        raise ParseError(f"expected 'm n' on the first line, got {lines[0]!r}", position=1)
     m, n = int(head[0]), int(head[1])
     body = lines[1 : 1 + m]
     if len(body) != m:
-        raise ValueError(f"expected {m} rows, found {len(body)}")
+        raise ParseError(f"expected {m} rows, found {len(body)}", position=len(body) + 2)
     for i, line in enumerate(body):
         if len(line) != n or set(line) - {"0", "1"}:
-            raise ValueError(f"row {i} is not {n} characters of 0/1: {line!r}")
+            raise ParseError(f"row {i} is not {n} characters of 0/1: {line!r}", position=i + 2)
+    for lineno, line in enumerate(lines[1 + m :], start=m + 2):
+        if line.strip():
+            raise ParseError(f"text after the matrix: {line!r}", position=lineno)
     return BitMatrix.from_rows([[int(ch) for ch in line] for line in body], n)
 
 

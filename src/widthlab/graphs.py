@@ -282,6 +282,8 @@ def _g6_decode_length(s: str, offset: int) -> tuple[int, int]:
         n = 0
         for ch in s[2:8]:
             n = (n << 6) | (ord(ch) - 63)
+        if n <= 258047:
+            raise ParseError("overlong graph6 length encoding", position=offset)
         return n, 8
     if len(s) < 4:
         raise ParseError("truncated 4-byte graph6 length field", position=offset)

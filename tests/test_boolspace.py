@@ -146,6 +146,11 @@ class TestSubspaceCounts:
         assert galois_number(2) == 5
         assert galois_number(4) == 67
 
+    def test_galois_cap(self):
+        with pytest.raises(CapExceeded, match=r"galois_number\(201\) exceeds the r <= 200 cap"):
+            galois_number(201)
+        assert len(str(galois_number(200))) == 3012  # within cap, prints as an exact integer
+
     def test_matches_subspace_enumeration(self):
         for r in range(5):
             spaces = enumerate_subspaces(r)

@@ -201,6 +201,10 @@ class TestOracle:
         code, out, _ = run_cli(["oracle", "galois", "--r", "2"])
         assert (code, out) == (0, "5\n")
 
+    def test_galois_at_its_cap(self):
+        code, out, _ = run_cli(["oracle", "galois", "--r", "200"])
+        assert code == 0 and len(out) == 3012 + 1
+
     def test_cap_violation_exits_nonzero(self):
         code, out, err = run_cli(["oracle", "rankdist", "--m", "5", "--n", "5"])
         assert code == 1 and out == "" and "error" in err
@@ -238,6 +242,8 @@ class TestUsageErrors:
             ["exp", "bell", "--n-list", "600"],
             ["exp", "scaling", "--seed", "1", "--n-list", "6,6", "--trials", "2"],
             ["exp", "envelope", "--n-list", "6,6"],
+            ["exp", "envelope", "--n-list", "3,501"],
+            ["oracle", "galois", "--r", "201"],
         ],
     )
     def test_one_line_exit_1(self, tmp_path, argv):

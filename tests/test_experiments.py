@@ -55,6 +55,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="n = 4 appears more than once"):
             lemma1_experiment(small_cfg("lemma1", n_values=(3, 4, 5, 4)))
 
+    def test_first_fault_in_list_order(self):
+        # n = 2 is below the minimum, but the repeat comes first in the list
+        with pytest.raises(ValueError, match="n = 4 appears more than once"):
+            lemma1_experiment(small_cfg("lemma1", n_values=(4, 4, 2)))
+        with pytest.raises(ValueError, match="n = 2 below the minimum 3 for lemma1"):
+            lemma1_experiment(small_cfg("lemma1", n_values=(4, 2, 4)))
+
     @pytest.mark.parametrize(
         "run, name, other",
         [
@@ -86,6 +93,14 @@ class TestLemma1Experiment:
         assert s["median_mu"] == statistics.median(mus)
         assert s["mean_mu"] == statistics.fmean(mus)
         assert s["frac_mu_le_n6"] == sum(1 for v in mus if v <= 1) / 5
+
+    @pytest.mark.parametrize("trials", [3, 4])
+    def test_median_is_a_float_for_any_trial_count(self, trials):
+        report = lemma1_experiment(small_cfg("lemma1", n_values=(6,), trials=trials))
+        assert type(report.summaries[0]["median_mu"]) is float
+        assert "median_mu=" + format(report.summaries[0]["median_mu"], ".6f") in render_summary(
+            report
+        )
 
     def test_sampled_mode_flagged(self):
         report = lemma1_experiment(small_cfg("lemma1", trials=2, mode="sampled"))
@@ -193,6 +208,17 @@ class TestEnvelopeCurve:
     def test_repeated_n_rejected(self):
         with pytest.raises(ValueError, match="n = 6 appears more than once in the n list"):
             envelope_curve([6, 4, 6])
+
+    def test_n_bounds(self):
+        with pytest.raises(ValueError, match="n = -1 below the minimum 0 for envelope"):
+            envelope_curve([3, -1])
+        with pytest.raises(ValueError, match="n = 501 above the maximum 500 for envelope"):
+            envelope_curve([3, 501])
+        assert envelope_curve([36, 500]).rows[1] == (500, 1500 * math.log2(3) - 250000, 0.0)
+
+    def test_value_is_the_rounded_exact_rational(self):
+        for n, _, value in envelope_curve(range(0, 60)).rows:
+            assert value == float(Fraction(3 ** (3 * n), 2 ** (n * n)))
 
 
 class TestBellAsymptoticCheck:

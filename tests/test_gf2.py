@@ -7,6 +7,7 @@ import pytest
 from widthlab import (
     BitMatrix,
     CapExceeded,
+    ParseError,
     SplitMix64,
     format_matrix_text,
     min_submatrix_rank_exhaustive,
@@ -69,9 +70,31 @@ class TestMatrixText:
         ],
     )
     def test_error_messages(self, text, message):
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(ParseError) as err:
             parse_matrix_text(text)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("", "empty matrix text", 1),
+            ("2\n01", "expected 'm n' on the first line, got '2'", 1),
+            ("a 3\n010", "expected 'm n' on the first line, got 'a 3'", 1),
+            ("-1 3\n", "expected 'm n' on the first line, got '-1 3'", 1),
+            ("1 3 4\n010", "expected 'm n' on the first line, got '1 3 4'", 1),
+            ("2 3\n010", "expected 2 rows, found 1", 3),
+            ("2 3\n000\n012", "row 1 is not 3 characters of 0/1: '012'", 3),
+            ("1 3\n010\n111\nhello", "text after the matrix: '111'", 3),
+            ("1 3\n010\n\nhello", "text after the matrix: 'hello'", 4),
+        ],
+    )
+    def test_strict_positions(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_matrix_text(text)
+        assert (str(err.value), err.value.position) == (message, position)
+
+    def test_trailing_blank_lines_allowed(self):
+        assert parse_matrix_text("1 3\n010\n\n  \n").to_lists() == [[0, 1, 0]]
 
     @pytest.mark.parametrize("rows, cols", [(0, 3), (2, 0), (0, 0)])
     def test_degenerate_round_trip(self, rows, cols):

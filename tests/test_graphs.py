@@ -21,6 +21,7 @@ from widthlab import (
     rank,
     sample_gnp_half,
 )
+from widthlab.graphs import _g6_decode_length, _g6_encode_length
 
 
 class TestGraph:
@@ -202,6 +203,33 @@ class TestGraph6:
         assert err.value.position == 1
 
 
+    @pytest.mark.parametrize("n", [63, 258047, 258048, 68719476735])
+    def test_length_field_round_trip(self, n):
+        field = _g6_encode_length(n)
+        assert len(field) == (4 if n <= 258047 else 8)
+        assert _g6_decode_length(field, 0) == (n, len(field))
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("~", "truncated 4-byte graph6 length field", 0),
+            ("~??", "truncated 4-byte graph6 length field", 0),
+            ("~~?????", "truncated 8-byte graph6 length field", 0),
+            (">>graph6<<~~?", "truncated 8-byte graph6 length field", 10),
+            # n = 5 fits the 1-byte form, so the longer forms are overlong
+            ("~??DQc", "overlong graph6 length encoding", 0),
+            ("~~?????DQc", "overlong graph6 length encoding", 0),
+            ("~~???}~~", "overlong graph6 length encoding", 0),  # n = 258047
+            # the smallest n the 8-byte form may carry; only lengths are compared
+            ("~~???~???", "expected 5549042688 payload characters for n=258048, found 1", 8),
+        ],
+    )
+    def test_length_field_errors(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_graph6(text)
+        assert (str(err.value), err.value.position) == (message, position)
+
+
 class TestEdgeList:
     def test_parse_path(self):
         g = parse_edge_list("3\n0 1\n1 2")
@@ -218,6 +246,22 @@ class TestEdgeList:
             parse_edge_list("2\n0 1\n0 5")
         with pytest.raises(ParseError):
             parse_edge_list("")
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("", "missing vertex-count line", 1),
+            ("x\n0 1", "bad vertex count 'x'", 1),
+            ("-2\n", "negative vertex count -2", 1),
+            ("3\n0 1 2", "expected 'u v' on line 2", 2),
+            ("3\n0 1\n\n1", "expected 'u v' on line 4", 4),
+            ("3\n0 a", "non-integer endpoint on line 2", 2),
+        ],
+    )
+    def test_error_messages(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text)
+        assert (str(err.value), err.value.position) == (message, position)
 
     def test_round_trip_canonical(self):
         rng = SplitMix64(707)

@@ -70,6 +70,32 @@ class TestDecompositionTree:
         with pytest.raises(StructureError, match="injective"):
             DecompositionTree(2, [(0, 1)], {0: 0, 1: 0})
 
+    @pytest.mark.parametrize(
+        "node_count, edges, leaf_map, message",
+        [
+            (2, [(1, 1)], {0: 0, 1: 1}, "self-loop at tree node 1"),
+            (2, [(0, 2)], {0: 0, 1: 1}, "edge (0,2) out of node range"),
+            (2, [(-1, 0)], {0: 0, 1: 1}, "edge (-1,0) out of node range"),
+            (3, [(0, 1), (1, 0)], {0: 0, 1: 1}, "duplicate tree edge"),
+            (3, [(0, 1)], {0: 0, 1: 1}, "3 nodes need 2 edges, got 1"),
+            (2, [(0, 1)], {0: 0, 5: 1}, "leaf node 5 out of range"),
+            (2, [(0, 1)], {0: 0, 1: 2}, "leaf labels must be exactly 0..n-1"),
+            (3, [(0, 1), (1, 2)], {0: 0, 1: 1, 2: 2}, "leaf node 1 has degree 2"),
+            (2, [(0, 1)], {0: 0}, "internal node 1 has degree 1, not 3"),
+        ],
+    )
+    def test_structure_error_messages(self, node_count, edges, leaf_map, message):
+        with pytest.raises(StructureError) as err:
+            DecompositionTree(node_count, edges, leaf_map)
+        assert str(err.value) == message
+
+    def test_equality_ignores_node_numbering(self):
+        rng = SplitMix64(404)
+        tree = caterpillar(6)  # leaf 2 hangs next to the cherry {0, 1}, leaf 3 does not
+        assert tree == renumbered(6, tree.edges, rng)
+        assert tree != renumbered(6, tree.edges, rng, labels=[0, 1, 3, 2, 4, 5])
+        assert tree.__eq__("tree 6\n") is NotImplemented and tree != "tree 6\n"
+
     def test_leaf_bijection_checked_against_graph(self):
         t = caterpillar(4)
         with pytest.raises(StructureError):
@@ -715,6 +741,27 @@ class TestTreeSerialization:
         with pytest.raises(StructureError):
             # right line count, broken incidence
             parse_tree("tree 4\ni0 0 1 2\ni1 3 i0 i0\n")
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("tree x\n", "bad leaf count 'x'", 1),
+            ("tree -1\n", "negative leaf count", 1),
+            ("tree 2\ni0 0 1 1\n", "no internal nodes expected for n = 2", 2),
+            ("tree 1\ni0 0 0 0\n", "no internal nodes expected for n = 1", 2),
+            ("tree 3\nix 0 1 2\n", "bad node token 'ix'", 2),
+            ("tree 3\ni0 0 1 z\n", "bad node token 'z'", 2),
+            ("tree 3\ni1 0 1 2\n", "internal node i1 out of range", 2),
+            ("tree 3\ni0 0 1 3\n", "leaf index 3 out of range", 2),
+            ("tree 3\ni0 0 1\n", "expected '<name> <nbr> <nbr> <nbr>' on line 2", 2),
+            ("tree 3\ni0 0 1 2 2\n", "expected '<name> <nbr> <nbr> <nbr>' on line 2", 2),
+            ("tree 3\n0 i0 1 2\n", "line 2 names a leaf, not an internal node", 2),
+        ],
+    )
+    def test_parse_error_messages(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_tree(text)
+        assert (str(err.value), err.value.position) == (message, position)
 
     def test_lines_that_disagree_rejected(self):
         # the union of the lines' edges is a valid tree, but line 3 lists 2 twice
