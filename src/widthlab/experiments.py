@@ -36,9 +36,8 @@ from .widths import (
     CUT_RANK_FUNCTION,
     DEFAULT_EXACT_CAP,
     _balanced_min,
-    _cut_table,
-    _table_width,
-    exact_f_width,
+    _half_table,
+    _leaf_rooted_width,
     tree_cuts,
 )
 
@@ -220,12 +219,14 @@ SCALING_COLUMNS = ("n", "trial", "seed", "rw", "boolw", "lb", "rw_over_n")
 
 def _scaling_trial(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     graph = sample_gnp_half(n, seed)
-    # The balanced bound reads the rank table before the DP overwrites it;
-    # _run_experiment has already checked n against the width cap.
-    rank = _cut_table(graph, CUT_RANK_FUNCTION)
-    lb = int(_balanced_min(rank.__getitem__, n)[0])
-    rw = int(_table_width(graph, CUT_RANK_FUNCTION, rank).value)
-    boolw = exact_f_width(graph, CUT_BOOL_FUNCTION, cfg.width_cap).value
+    # The balanced bound reads the rank half table before the DP overwrites
+    # it; _run_experiment has already checked n against the width cap.
+    rank = _half_table(graph, CUT_RANK_FUNCTION)
+    top, full = 1 << (n - 1), (1 << n) - 1
+    lb = int(_balanced_min(lambda s: rank[s] if s < top else rank[full ^ s], n)[0])
+    rw = int(_leaf_rooted_width(graph, CUT_RANK_FUNCTION, rank).value)
+    boolean = _half_table(graph, CUT_BOOL_FUNCTION)
+    boolw = _leaf_rooted_width(graph, CUT_BOOL_FUNCTION, boolean).value
     if lb > rw:
         raise AssertionError(f"balanced lower bound {lb} above exact rankwidth {rw}")
     return {"rw": rw, "boolw": boolw, "lb": lb, "rw_over_n": rw / n}
@@ -249,8 +250,10 @@ def scaling_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport
     """Exact rankwidth/booleanwidth of random graphs as n grows.
 
     Per trial records rankwidth, booleanwidth, the balanced-cut lower bound
-    under cut-rank (asserted <= rankwidth), and rw/n.  The bound is read
-    from the rank DP's cut table, not evaluated again.
+    under cut-rank (asserted <= rankwidth), and rw/n.  Both widths take
+    the DP rooted at the last leaf (widths._leaf_rooted_width), whose values
+    are exact_f_width's, and the bound is read from the rank DP's half
+    table, not evaluated again.
     """
     return _run_experiment(_SCALING, cfg, jobs)
 
@@ -271,8 +274,8 @@ BOOLW_RW_COLUMNS = (
 
 def _boolw_rw_trial(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     graph = sample_gnp_half(n, seed)
-    rw_res = exact_f_width(graph, CUT_RANK_FUNCTION, cfg.width_cap)
-    bw_res = exact_f_width(graph, CUT_BOOL_FUNCTION, cfg.width_cap)
+    rw_res = _leaf_rooted_width(graph, CUT_RANK_FUNCTION, _half_table(graph, CUT_RANK_FUNCTION))
+    bw_res = _leaf_rooted_width(graph, CUT_BOOL_FUNCTION, _half_table(graph, CUT_BOOL_FUNCTION))
     rw = int(rw_res.value)
     log2_g = log2_int(galois_number(rw))
     violations = 0
@@ -340,8 +343,15 @@ def bell_asymptotic_check(n_max: int) -> Table:
     """
     if not 3 <= n_max <= BELL_CAP:
         raise ValueError(f"n_max must be between 3 and {BELL_CAP}")
+    return _bell_table(range(3, n_max + 1))
+
+
+def _bell_table(n_values) -> Table:
+    """bell_asymptotic_check's rows for the listed n, in list order."""
+    n_values = tuple(n_values)
+    _check_n_values(n_values, "bell", 3, BELL_CAP)
     rows = []
-    for n in range(3, n_max + 1):
+    for n in n_values:
         log2_bell = log2_int(bell(n))
         n_log2_n = n * math.log2(n)
         refined = n * (math.log2(n) - math.log2(math.log2(n - 1)))

@@ -31,6 +31,14 @@ tree's own n - 1 splits (the root and the n - 2 internal nodes): at most
 n * 2^(n-1) lookups.  Ties between optimal splits resolve to the
 numerically smallest side, so the witness is deterministic.
 
+The scaling and boolw-rw experiment trials run the same loop on half the
+table (_leaf_rooted_width).  Every tree has the leaf edge {v} | V \\ {v} for
+v = n - 1, so the width is g[V \\ {v}], which needs only the 2^(n-1)
+subsets without v: the half a built-in's fill evaluates.  The values are
+exact_f_width's; the witness is another optimal tree, and those reports
+hold no tree text, so no byte changes.  exact_f_width keeps the full table,
+its root and its tie rule, so its witness text is unchanged.
+
 The engine needs f(X) = f(V \\ X) and f(empty) = 0.  _audit_symmetry checks
 both.  exact_f_width fills a 2^n table of f.  For any cut function it
 evaluates every subset and audits every pair.  The built-in cut-rank and
@@ -250,27 +258,36 @@ def _cut_table(graph: Graph, f: CutFunction) -> list[float]:
 
     The two built-ins are symmetric by theorem: a matrix and its transpose
     have the same GF(2) rank, and a 0/1 matrix has as many distinct row
-    unions as column unions.  For them each complementary pair is evaluated
-    once, on the side with fewer vertices; their seeded sample is audited
-    once per exact_f_width call, when _verified re-checks the witness.  Any
-    other function is evaluated on every subset and audited on every pair.
+    unions as column unions.  For them the table is _half_table mirrored;
+    their seeded sample is audited once per exact_f_width call, when
+    _verified re-checks the witness.  Any other function is evaluated on
+    every subset and audited on every pair.
     """
-    n = graph.n
-    ev = _bits_eval(graph, f)
-    # One object per distinct value: 2^n separate floats fragment the heap.
-    # The type in the key keeps an int-valued function's ints, and zeros are
-    # left as returned so that 0.0 and -0.0 are never merged.
-    intern = {}.setdefault
     if f is CUT_RANK_FUNCTION or f is CUT_BOOL_FUNCTION:
-        full, small = (1 << n) - 1, n // 2
-        sides = (s if s.bit_count() <= small else full ^ s for s in range(1 << (n - 1)))
-        low = [intern((type(v), v), v) if v else v for v in map(ev, sides)]
+        low = _half_table(graph, f)
         # the upper half mirrors the lower one: table[full ^ s] = table[s]
-        table = low + low[::-1]
-    else:
-        table = [intern((type(v), v), v) if v else v for v in map(ev, range(1 << n))]
-        _audit_symmetry(f, table.__getitem__, n, range(1 << (n - 1)))
+        return low + low[::-1]
+    n = graph.n
+    table = _interned(map(_bits_eval(graph, f), range(1 << n)))
+    _audit_symmetry(f, table.__getitem__, n, range(1 << (n - 1)))
     return table
+
+
+def _half_table(graph: Graph, f: CutFunction) -> list[float]:
+    """A built-in f on the 2^(n-1) subsets without vertex n - 1, each pair on its smaller side."""
+    n = graph.n
+    full, small = (1 << n) - 1, n // 2
+    sides = (s if s.bit_count() <= small else full ^ s for s in range(1 << (n - 1)))
+    return _interned(map(_bits_eval(graph, f), sides))
+
+
+def _interned(values: Iterable[float]) -> list[float]:
+    """values as a list holding one object per distinct value."""
+    # 2^n separate floats fragment the heap.  The type in the key keeps an
+    # int-valued function's ints, and zeros are left as returned so that 0.0
+    # and -0.0 are never merged.
+    intern = {}.setdefault
+    return [intern((type(v), v), v) if v else v for v in values]
 
 
 def tree_width_under(graph: Graph, tree: DecompositionTree, f: CutFunction) -> WidthResult:
@@ -329,23 +346,36 @@ def exact_f_width(
         raise CapExceeded(f"exact width needs n <= {n_cap}, got n = {n}")
     if n <= 1:
         return WidthResult(0.0, _trivial_tree(n), Cut(0, n))
-    return _table_width(graph, f, _cut_table(graph, f))
+    g = _cut_table(graph, f)
+    full = (1 << n) - 1
+    _subset_dp(g, full)
+    value, t = _best_split(g, full)
+    return _verified(graph, f, value, _witness_tree(g, n, t))
 
 
-def _table_width(graph: Graph, f: CutFunction, g: list[float]) -> WidthResult:
-    """exact_f_width's DP and verified witness, run in place on f's cut table g.
+def _leaf_rooted_width(graph: Graph, f: CutFunction, low: list[float]) -> WidthResult:
+    """exact_f_width's value for a built-in f, by the DP rooted at leaf n - 1.
 
-    g starts as f and is exact for singletons; the loop turns every larger
-    S < V into max(f(S), c(S)), reading f(S) before it is overwritten.
+    The DP overwrites low, f's _half_table, in place.  The witness is the
+    optimal subtree on V \\ {n - 1} joined to leaf n - 1.  The caller checks
+    n against the width cap.
     """
     n = graph.n
-    for s in range(3, (1 << n) - 1):
+    if n <= 1:
+        return WidthResult(0.0, _trivial_tree(n), Cut(0, n))
+    rest = (1 << (n - 1)) - 1
+    _subset_dp(low, rest + 1)
+    return _verified(graph, f, low[rest], _witness_tree(low, n, rest))
+
+
+def _subset_dp(g: list[float], bound: int) -> None:
+    """The DP of both roots: g[S] = f(S) becomes max(f(S), c(S)) for 2 < S < bound."""
+    for s in range(3, bound):
         if s & (s - 1):
             fs = g[s]
             best = _best_split(g, s, fs)[0]
             if best > fs:
                 g[s] = best
-    return _verified(graph, f, *_witness_tree(g, n))
 
 
 def _best_split(g: list[float], s: int, stop: float = -math.inf) -> tuple[float, int]:
@@ -372,19 +402,18 @@ def _best_split(g: list[float], s: int, stop: float = -math.inf) -> tuple[float,
                     return best, side
 
 
-def _witness_tree(g: list[float], n: int) -> tuple[float, DecompositionTree]:
-    """The width c(V) and an optimal tree, rebuilt from the exact table g.
+def _witness_tree(g: list[float], n: int, t: int) -> DecompositionTree:
+    """An optimal tree whose root edge splits V into t and V \\ t, rebuilt from g.
 
     Only the tree's own nodes are scanned.  Leaf v is node v; internal nodes
-    are numbered n, n+1, ... in post-order, smaller side first.
+    are numbered n, n+1, ... in post-order, smaller side first.  A singleton
+    side is its leaf, so g need not hold it.
     """
     edges: list[tuple[int, int]] = []
-    full = (1 << n) - 1
-    value, t = _best_split(g, full)
     a = _subtree(g, t, n, edges)
-    b = _subtree(g, full ^ t, n, edges)
+    b = _subtree(g, ((1 << n) - 1) ^ t, n, edges)
     edges.append((a, b))
-    return value, DecompositionTree(n + len(edges) // 2, edges, {v: v for v in range(n)})
+    return DecompositionTree(n + len(edges) // 2, edges, {v: v for v in range(n)})
 
 
 def _subtree(g: list[float], s: int, n: int, edges: list[tuple[int, int]]) -> int:
@@ -587,31 +616,32 @@ def emit_tree(tree: DecompositionTree) -> str:
 
 
 def parse_tree(text: str) -> DecompositionTree:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # (line number, text) of the non-blank lines; blank lines are counted too
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ParseError("empty tree text", position=1)
-    head = lines[0].split()
+    (head_no, head_line), body = lines[0], lines[1:]
+    head = head_line.split()
     if len(head) != 2 or head[0] != "tree":
-        raise ParseError(f"expected 'tree <n>' header, got {lines[0]!r}", position=1)
+        raise ParseError(f"expected 'tree <n>' header, got {head_line!r}", position=head_no)
     try:
         n = int(head[1])
     except ValueError:
-        raise ParseError(f"bad leaf count {head[1]!r}", position=1) from None
+        raise ParseError(f"bad leaf count {head[1]!r}", position=head_no) from None
     if n < 0:
-        raise ParseError("negative leaf count", position=1)
+        raise ParseError("negative leaf count", position=head_no)
     if n <= 2:
-        if len(lines) > 1:
-            raise ParseError(f"no internal nodes expected for n = {n}", position=2)
+        if body:
+            raise ParseError(f"no internal nodes expected for n = {n}", position=body[0][0])
         if n <= 1:
             return _trivial_tree(n)
         return DecompositionTree(2, [(0, 1)], {0: 0, 1: 1})
 
     want_internal = n - 2
-    if len(lines) - 1 != want_internal:
+    if len(body) != want_internal:
         raise ParseError(
-            f"expected {want_internal} internal-node lines for n = {n}, "
-            f"got {len(lines) - 1}",
-            position=2,
+            f"expected {want_internal} internal-node lines for n = {n}, got {len(body)}",
+            position=body[0][0] if body else head_no + 1,
         )
 
     def node_id(token: str, lineno: int) -> int:
@@ -633,7 +663,7 @@ def parse_tree(text: str) -> DecompositionTree:
 
     edge_set = set()
     listed: dict[int, tuple[int, str, tuple[int, ...]]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in body:
         parts = line.split()
         if len(parts) != 4:
             raise ParseError(

@@ -140,6 +140,14 @@ class TestExp:
         assert code == 0
         assert out.splitlines()[0] == "n log2_bell n_log2_n refined_bound margin"
 
+    def test_bell_table_prints_the_listed_n_in_order(self):
+        _, full, _ = run_cli(["exp", "bell", "--n-list", "3..10"])
+        code, out, _ = run_cli(["exp", "bell", "--n-list", "9,4,7"])
+        assert code == 0
+        header, *rows = full.splitlines()
+        by_n = {row.split()[0]: row for row in rows}
+        assert out.splitlines() == [header, by_n["9"], by_n["4"], by_n["7"]]
+
     def test_lemma1_writes_byte_identical_files(self, tmp_path):
         args = [
             "exp", "lemma1", "--seed", "1", "--n-list", "9", "--trials", "5",
@@ -240,6 +248,8 @@ class TestUsageErrors:
              "--out", "{unwritable}"],
             ["exp", "envelope", "--n-list", "3..5", "--out", "{unwritable}"],
             ["exp", "bell", "--n-list", "600"],
+            ["exp", "bell", "--n-list", "9,4,4"],
+            ["exp", "bell", "--n-list", "2..5"],
             ["exp", "scaling", "--seed", "1", "--n-list", "6,6", "--trials", "2"],
             ["exp", "envelope", "--n-list", "6,6"],
             ["exp", "envelope", "--n-list", "3,501"],

@@ -26,7 +26,7 @@ from widthlab import (
     submatrix,
     write_report,
 )
-from widthlab.experiments import render_summary, render_table, write_table
+from widthlab.experiments import _bell_table, render_summary, render_table, write_table
 from widthlab.gf2 import exhaustive_work
 
 
@@ -168,6 +168,20 @@ class TestScalingExperiment:
 
 
 class TestBoolwRwExperiment:
+    def test_records_match_the_public_engines(self):
+        # the trial takes the leaf-rooted DP; its values and its audit of
+        # its own witness trees must agree with the public engines
+        report = boolw_vs_rw_experiment(small_cfg("boolw-rw", n_values=(1, 2, 5, 7), trials=8))
+        for rec in report.records:
+            g = sample_gnp_half(rec["n"], rec["seed"])
+            rw = int(rankwidth(g).value)
+            boolw = booleanwidth(g).value
+            assert rec["rw"] == rw
+            assert repr(rec["boolw"]) == repr(boolw)
+            assert rec["log2_galois_rw"] == log2_int(galois_number(rw))
+            assert rec["cut_violations"] == 0
+            assert rec["graph_ok"] is (boolw <= rec["log2_galois_rw"] + 1e-12)
+
     def test_no_violations_and_complete_graph_control(self):
         report = boolw_vs_rw_experiment(small_cfg("boolw-rw", n_values=(6, 8), trials=3))
         for rec in report.records:
@@ -238,6 +252,23 @@ class TestBellAsymptoticCheck:
             bell_asymptotic_check(2)
         with pytest.raises(ValueError):
             bell_asymptotic_check(501)
+
+    def test_listed_n_in_list_order(self):
+        rows = {row[0]: row for row in bell_asymptotic_check(12).rows}
+        assert _bell_table([9, 4, 12]).rows == (rows[9], rows[4], rows[12])
+        assert _bell_table(range(3, 13)) == bell_asymptotic_check(12)
+
+    @pytest.mark.parametrize(
+        "n_values, message",
+        [
+            ((9, 4, 4), "n = 4 appears more than once"),
+            ((4, 2), "n = 2 below the minimum 3 for bell"),
+            ((501,), "n = 501 above the maximum 500 for bell"),
+        ],
+    )
+    def test_listed_n_checked(self, n_values, message):
+        with pytest.raises(ValueError, match=message):
+            _bell_table(n_values)
 
 
 class TestReportSerialization:

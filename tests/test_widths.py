@@ -19,6 +19,7 @@ from widthlab import (
     StructureError,
     balanced_cut_lower_bound,
     booleanwidth,
+    boolw_vs_rw_experiment,
     brute_force_f_width,
     complete_graph,
     cut_bool,
@@ -42,7 +43,13 @@ from widthlab import (
 from widthlab import boolspace, widths
 from widthlab.boolspace import _cut_bool_count_bits
 from widthlab.graphs import _cut_rank_bits
-from widthlab.widths import _balanced_min, _bits_eval, _cut_table
+from widthlab.widths import (
+    _balanced_min,
+    _bits_eval,
+    _cut_table,
+    _half_table,
+    _leaf_rooted_width,
+)
 
 from conftest import run_cli
 
@@ -483,6 +490,49 @@ class TestReferenceDPOracle:
         assert res.value == 3
 
 
+class TestLeafRootedDP:
+    """The experiments' DP, rooted at the edge to leaf n - 1 on the built-ins'
+    half table: the value of exact_f_width and of the full-scan DP, and a
+    witness that re-evaluates to it."""
+
+    def assert_same(self, graph, f):
+        n = graph.n
+        low = _half_table(graph, f)
+        assert len(low) == 1 << (n - 1)
+        res = _leaf_rooted_width(graph, f, low)
+        ref = exact_f_width(graph, f)
+        assert repr(res.value) == repr(ref.value)
+        assert type(res.value) is type(ref.value)
+        assert repr(res.value) == repr(reference_min_max_dp(graph, f)[0])
+        tree = res.witness_tree
+        assert tree.n_leaves == n and tree.node_count == 2 * n - 2
+        assert tree_width_under(graph, tree, f).value == res.value
+        assert res.witness_cut in tree_cuts(tree)
+
+    def test_random_graphs(self):
+        rng = SplitMix64(9191)
+        for n in range(2, 14):
+            for _ in range(5 if n <= 9 else 2 if n <= 11 else 1):
+                g = sample_gnp_half(n, rng.next_word())
+                for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                    self.assert_same(g, f)
+
+    def test_named_graphs(self):
+        for n in range(2, 12):
+            named = [complete_graph(n), path_graph(n), empty_graph(n)]
+            if n >= 3:
+                named.append(cycle_graph(n))
+            for g in named:
+                for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                    self.assert_same(g, f)
+
+    def test_trivial_graphs(self):
+        for n in (0, 1):
+            for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                res = _leaf_rooted_width(empty_graph(n), f, [0.0])
+                assert (res.value, res.witness_tree.n_leaves) == (0.0, n)
+
+
 class TestBruteForceOracle:
     def test_matches_exact_on_corpus(self):
         rng = SplitMix64(9009)
@@ -663,12 +713,16 @@ class TestNoReferenceCycles:
         # generator recurses through a closure, as an oracle may.)
         g = sample_gnp_half(10, 5)
         cfg = ExperimentConfig(name="scaling", n_values=(8,), trials=1, master_seed=3)
+        boolw_cfg = dataclasses.replace(cfg, name="boolw-rw")
         gc.collect()
         gc.disable()
         try:
             emit_tree(exact_f_width(g, CUT_RANK_FUNCTION).witness_tree)
             exact_f_width(g, CUT_BOOL_FUNCTION)
+            low = _half_table(g, CUT_BOOL_FUNCTION)
+            emit_tree(_leaf_rooted_width(g, CUT_BOOL_FUNCTION, low).witness_tree)
             scaling_experiment(cfg)
+            boolw_vs_rw_experiment(boolw_cfg)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -756,6 +810,15 @@ class TestTreeSerialization:
             ("tree 3\ni0 0 1\n", "expected '<name> <nbr> <nbr> <nbr>' on line 2", 2),
             ("tree 3\ni0 0 1 2 2\n", "expected '<name> <nbr> <nbr> <nbr>' on line 2", 2),
             ("tree 3\n0 i0 1 2\n", "line 2 names a leaf, not an internal node", 2),
+            # blank lines are counted, as in parse_edge_list
+            ("tree 3\n\nix 0 1 2", "bad node token 'ix'", 3),
+            ("tree 3\n\n \ni0 0 1\n", "expected '<name> <nbr> <nbr> <nbr>' on line 4", 4),
+            ("\ntree x\n", "bad leaf count 'x'", 2),
+            ("\n\nwood 3\n", "expected 'tree <n>' header, got 'wood 3'", 3),
+            ("tree 2\n\ni0 0 1 1\n", "no internal nodes expected for n = 2", 3),
+            ("tree 4\n\ni0 0 1 2\n", "expected 2 internal-node lines for n = 4, got 1", 3),
+            ("tree 4\n", "expected 2 internal-node lines for n = 4, got 0", 2),
+            ("tree 3\n\n0 i0 1 2\n", "line 3 names a leaf, not an internal node", 3),
         ],
     )
     def test_parse_error_messages(self, text, message, position):
@@ -773,6 +836,14 @@ class TestTreeSerialization:
         assert err.value.position == 3
         with pytest.raises(ParseError, match="line 4 lists neighbors of i2"):
             parse_tree("tree 5\ni0 0 1 i1\ni1 2 i0 i2\ni2 3 4 4\n")
+        with pytest.raises(ParseError, match="i0 named again on line 5 .first on line 2.") as err:
+            parse_tree("tree 4\ni0 0 1 i1\n\n\ni0 2 3 i1\n")
+        assert err.value.position == 5
+
+    def test_blank_lines_parse_to_the_same_tree(self):
+        text = emit_tree(rankwidth(sample_gnp_half(7, 31)).witness_tree)
+        spaced = "\n\n" + text.replace("\n", "\n \n")
+        assert emit_tree(parse_tree(spaced)) == text
 
     def test_parse_emit_evaluates_identically(self):
         g = sample_gnp_half(6, 5150)

@@ -1,11 +1,15 @@
-"""Time the cut-table fill and the balanced-cut scan in one process.
+"""Time the cut-table fill, the DP split loop and the balanced-cut scan in one process.
 
 For G(n, 1/2) at n = 14 and 16 (seed 1), times widths._cut_table for the
 two built-in cut functions, which fill each complementary pair once, and for
 a dataclasses.replace copy of each, which takes the full fill and the audit
-of every pair.  At each n it also times balanced_cut_lower_bound under
-cut-rank against widths._balanced_min on the rank table.  Each figure is the
-median of REPEATS wall times, the paths alternating.  Prints one JSON object.
+of every pair.  For each built-in it times the split loop alone
+(widths._subset_dp on a fresh copy of a filled table): over the full 2^n
+table, as exact_f_width runs it, and over the 2^(n-1) half table, as the
+leaf-rooted DP of the experiments runs it.  At each n it also times
+balanced_cut_lower_bound under cut-rank against widths._balanced_min on the
+rank table.  Each figure is the median of REPEATS wall times, the paths
+alternating.  Prints one JSON object.
 
     PYTHONPATH=src python3 tools/fill_timing.py
 """
@@ -17,7 +21,13 @@ import statistics
 import time
 
 from widthlab import CUT_BOOL_FUNCTION, CUT_RANK_FUNCTION, sample_gnp_half
-from widthlab.widths import _balanced_min, _cut_table, balanced_cut_lower_bound
+from widthlab.widths import (
+    _balanced_min,
+    _cut_table,
+    _half_table,
+    _subset_dp,
+    balanced_cut_lower_bound,
+)
 
 REPEATS = 5
 
@@ -41,6 +51,14 @@ def main() -> None:
             copy = dataclasses.replace(f)
             full, half = _median_s([lambda: _cut_table(g, copy), lambda: _cut_table(g, f)])
             rows.append({"layer": f"cut_table.{f.name}", "n": n, "full_s": full, "half_s": half})
+            table, low = _cut_table(g, f), _half_table(g, f)
+            full, leaf = _median_s(
+                [
+                    lambda: _subset_dp(list(table), len(table) - 1),
+                    lambda: _subset_dp(list(low), len(low)),
+                ]
+            )
+            rows.append({"layer": f"split_loop.{f.name}", "n": n, "full_s": full, "leaf_s": leaf})
         table = _cut_table(g, CUT_RANK_FUNCTION)
         evaluated, read = _median_s(
             [
