@@ -149,6 +149,8 @@ def _run_trials(cfg: ExperimentConfig, trial: Callable, jobs: int) -> list[dict]
 def _run_experiment(spec: _Spec, cfg: ExperimentConfig, jobs: int) -> ExperimentReport:
     if cfg.name != spec.name:
         raise ValueError(f"the {spec.name} experiment was given a config named {cfg.name!r}")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     _validate_config(cfg, spec.min_n)
     if spec.width_capped:
         for n in cfg.n_values:

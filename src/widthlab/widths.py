@@ -42,9 +42,12 @@ its root and its tie rule, so its witness text is unchanged.
 The engine needs f(X) = f(V \\ X) and f(empty) = 0.  _audit_symmetry checks
 both.  exact_f_width fills a 2^n table of f.  For any cut function it
 evaluates every subset and audits every pair.  The built-in cut-rank and
-boolean cut functions are symmetric by theorem: each pair is evaluated once,
-on its smaller side, and a seeded sample is audited once per call, as the
-other engines do, when tree_width_under re-checks the witness.
+boolean cut functions are symmetric by theorem: their table is the half
+without vertex n - 1, mirrored, and a seeded sample is audited once per
+call, as the other engines do, when tree_width_under re-checks the witness.
+_half_table fills that half by one walk over its subsets, each cell built
+from its parent subset's state in one step, so no cell calls the per-subset
+kernels.
 """
 
 from __future__ import annotations
@@ -75,9 +78,11 @@ class CutFunction:
     f(X) = f(V \\ X) and f(empty) = 0.  exact_f_width checks every
     complementary pair; the other engines check a seeded sample of subsets,
     and so does exact_f_width on the two built-ins CUT_RANK_FUNCTION and
-    CUT_BOOL_FUNCTION (recognised by identity, so a copy is checked in
-    full), once per call, at the witness re-check.  A violation raises
-    ContractError.
+    CUT_BOOL_FUNCTION, once per call, at the witness re-check.  The
+    built-ins are recognised by identity: exact_f_width fills their table
+    by _half_table's walk, without calling evaluate or bits_evaluate, while
+    a copy is evaluated on every subset and checked in full.  A violation
+    raises ContractError.
     """
 
     name: str
@@ -258,36 +263,99 @@ def _cut_table(graph: Graph, f: CutFunction) -> list[float]:
 
     The two built-ins are symmetric by theorem: a matrix and its transpose
     have the same GF(2) rank, and a 0/1 matrix has as many distinct row
-    unions as column unions.  For them the table is _half_table mirrored;
-    their seeded sample is audited once per exact_f_width call, when
-    _verified re-checks the witness.  Any other function is evaluated on
-    every subset and audited on every pair.
+    unions as column unions.  For them the table is _half_table (the
+    2^(n-1) subsets without vertex n - 1, each built from its parent
+    subset's state) mirrored; their seeded sample is audited once per
+    exact_f_width call, when _verified re-checks the witness.  Any other
+    function is evaluated on every subset and audited on every pair.
     """
     if f is CUT_RANK_FUNCTION or f is CUT_BOOL_FUNCTION:
         low = _half_table(graph, f)
         # the upper half mirrors the lower one: table[full ^ s] = table[s]
         return low + low[::-1]
     n = graph.n
-    table = _interned(map(_bits_eval(graph, f), range(1 << n)))
+    # 2^n separate floats fragment the heap, so the table holds one object
+    # per distinct value.  The type in the key keeps an int-valued
+    # function's ints, and zeros are left as returned so that 0.0 and -0.0
+    # are never merged.
+    intern = {}.setdefault
+    values = map(_bits_eval(graph, f), range(1 << n))
+    table = [intern((type(v), v), v) if v else v for v in values]
     _audit_symmetry(f, table.__getitem__, n, range(1 << (n - 1)))
     return table
 
 
 def _half_table(graph: Graph, f: CutFunction) -> list[float]:
-    """A built-in f on the 2^(n-1) subsets without vertex n - 1, each pair on its smaller side."""
+    """A built-in f on the 2^(n-1) subsets without vertex n - 1, by one walk over them.
+
+    A pre-order walk visits each such subset Y once, as X + {v} with v
+    above X's top vertex, and builds Y's state from X's by one step:
+
+    - cut-rank: cutrk(Y) = dim span{A[w], e_w : w in Y} - |Y|, because the
+      unit vectors e_w span Y's own columns and the quotient by them is the
+      row space of A[Y, V \\ Y].  The state is a basis keyed by top bit, and
+      the step inserts e_v and A[v].
+    - boolean: with m = V \\ Y, the unions of Y's rows on m are u & m and
+      (u | A[v]) & m over the unions u of X's rows.  The state is that set,
+      and the cell is log2 of its size.  It has at most 2^min(|Y|, n - |Y|)
+      members, so it stays far below DEFAULT_SPACE_CAP at any n whose table
+      fits in memory.
+
+    No cell calls the per-subset kernels, and the values are theirs exactly.
+    The table holds one float object per distinct value.
+    """
     n = graph.n
-    full, small = (1 << n) - 1, n // 2
-    sides = (s if s.bit_count() <= small else full ^ s for s in range(1 << (n - 1)))
-    return _interned(map(_bits_eval(graph, f), sides))
+    table = [0.0] * (1 << (n - 1))
+    if f is CUT_RANK_FUNCTION:
+        step, state = _rank_step, ([0] * n, 0)
+        values = [float(r) for r in range(n // 2 + 1)]
+    else:
+        step, state = _bool_step, {0}
+        # a count is at least 1; index 0 is never read
+        values = [0.0] + [math.log2(c) for c in range(1, (1 << n // 2) + 1)]
+    adj, full, last = graph._adj, (1 << n) - 1, n - 1
+    # (X, X's state, the next vertex to add to X); a stack, not recursion,
+    # so it holds at most n entries and no reference cycle
+    stack = [(0, state, 0)] if last else []
+    while stack:
+        x, state, v = stack.pop()
+        more = v + 1 < last
+        if more:
+            stack.append((x, state, v + 1))
+        y = x | 1 << v
+        state, k = step(adj, state, v, full ^ y)
+        table[y] = values[k]
+        if more:
+            stack.append((y, state, v + 1))
+    return table
 
 
-def _interned(values: Iterable[float]) -> list[float]:
-    """values as a list holding one object per distinct value."""
-    # 2^n separate floats fragment the heap.  The type in the key keeps an
-    # int-valued function's ints, and zeros are left as returned so that 0.0
-    # and -0.0 are never merged.
-    intern = {}.setdefault
-    return [intern((type(v), v), v) if v else v for v in values]
+def _rank_step(adj: tuple[int, ...], state: tuple, v: int, m: int) -> tuple[tuple, int]:
+    """X's (basis by top bit, cut-rank) to Y's, for Y = X + {v}; also Y's cut-rank.
+
+    Y's basis spans A[w] and e_w for w in Y; m is unused.
+    """
+    basis, r = state
+    basis = basis[:]
+    r -= 1
+    for x in (1 << v, adj[v]):
+        while x:
+            top = x.bit_length() - 1
+            p = basis[top]
+            if not p:
+                basis[top] = x
+                r += 1
+                break
+            x ^= p
+    return (basis, r), r
+
+
+def _bool_step(adj: tuple[int, ...], state: set[int], v: int, m: int) -> tuple[set[int], int]:
+    """X's row unions to Y's, both on m = V \\ Y, for Y = X + {v}; also their count."""
+    unions = {u & m for u in state}
+    a = adj[v] & m
+    unions |= {u | a for u in unions}
+    return unions, len(unions)
 
 
 def tree_width_under(graph: Graph, tree: DecompositionTree, f: CutFunction) -> WidthResult:

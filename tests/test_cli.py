@@ -254,6 +254,8 @@ class TestUsageErrors:
             ["exp", "envelope", "--n-list", "6,6"],
             ["exp", "envelope", "--n-list", "3,501"],
             ["oracle", "galois", "--r", "201"],
+            ["exp", "scaling", "--seed", "1", "--n-list", "6", "--trials", "1", "--jobs", "0"],
+            ["exp", "lemma1", "--seed", "1", "--n-list", "6", "--trials", "1", "--jobs", "-2"],
         ],
     )
     def test_one_line_exit_1(self, tmp_path, argv):

@@ -49,6 +49,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="mode"):
             lemma1_experiment(small_cfg("lemma1", mode="guess"))
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one(self, jobs):
+        for run, name in ((lemma1_experiment, "lemma1"), (scaling_experiment, "scaling")):
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                run(small_cfg(name), jobs=jobs)
+
     def test_repeated_n(self):
         with pytest.raises(ValueError, match="n = 6 appears more than once"):
             scaling_experiment(small_cfg("scaling", n_values=(6, 6), trials=2))

@@ -607,10 +607,50 @@ def _named_graphs(n):
     return [complete_graph(n), path_graph(n), cycle_graph(n), empty_graph(n)]
 
 
+def _star(n, centre):
+    return Graph.from_edges(n, [(centre, w) for w in range(n) if w != centre])
+
+
+class TestIncrementalHalfFill:
+    """_half_table builds each cell from its parent subset's state; the
+    per-subset kernels, evaluated on the cell's own side, are its oracle."""
+
+    def assert_cells_are_per_subset(self, g):
+        n = g.n
+        rank = _half_table(g, CUT_RANK_FUNCTION)
+        boolean = _half_table(g, CUT_BOOL_FUNCTION)
+        assert len(rank) == len(boolean) == 1 << (n - 1)
+        for bits in range(1 << (n - 1)):
+            cut = Cut(bits, n)
+            assert type(rank[bits]) is type(boolean[bits]) is float
+            assert repr(rank[bits]) == repr(float(cut_rank(g, cut))), (n, bits)
+            assert repr(boolean[bits]) == repr(cut_bool(g, cut)), (n, bits)
+
+    def test_random_graphs(self):
+        rng = SplitMix64(8484)
+        for n in range(1, 15):
+            for _ in range(3 if n <= 12 else 1):
+                self.assert_cells_are_per_subset(sample_gnp_half(n, rng.next_word()))
+
+    def test_named_graphs(self):
+        for n in range(1, 13):
+            named = [empty_graph(n), complete_graph(n), path_graph(n)]
+            if n >= 3:
+                named.append(cycle_graph(n))
+            for g in named:
+                self.assert_cells_are_per_subset(g)
+
+    def test_stars(self):
+        # vertex n - 1 is never added to a cell, vertex 0 is in half of them
+        for n in range(2, 13):
+            for centre in (n - 1, 0):
+                self.assert_cells_are_per_subset(_star(n, centre))
+
+
 class TestHalfFilledCutTable:
-    """The built-ins' tables are filled from one side of each complementary
-    pair; every other function, copies of the built-ins included, is filled
-    and audited on every subset."""
+    """The built-ins' tables are the half table mirrored; every other
+    function, copies of the built-ins included, is filled and audited on
+    every subset."""
 
     def assert_table_is_per_subset(self, g):
         rank = _cut_table(g, CUT_RANK_FUNCTION)
@@ -662,8 +702,9 @@ class TestHalfFilledCutTable:
 
 
     def test_builtins_audited_once_per_call(self, monkeypatch):
-        # 2^(n-1) table cells, the 69 evaluations of the seeded sample audit
-        # at the witness re-check, and the witness tree's 2n - 3 cuts.
+        # The fill makes no per-subset kernel call, so only the 69
+        # evaluations of the seeded sample audit at the witness re-check and
+        # the witness tree's 2n - 3 cuts are counted.
         counts = {"rank": 0, "bool": 0}
 
         def counting(key, inner):
@@ -681,11 +722,12 @@ class TestHalfFilledCutTable:
         g = sample_gnp_half(n, 4)
         for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
             exact_f_width(g, f)
-            assert counts[f.name] == 2 ** (n - 1) + 69 + (2 * n - 3) == 598
+            assert counts[f.name] == 69 + (2 * n - 3) == 86
 
     def test_asymmetric_builtin_still_rejected(self, monkeypatch):
-        # Skewed only on sides with more than n/2 vertices, which the fill
-        # never evaluates: the DP runs, and the audit after it must object.
+        # Skewed only on sides with more than n/2 vertices.  The fill never
+        # calls the kernel, so the table is not skewed: the DP runs, and the
+        # audit after it must object.
         def skewed(graph, bits):
             extra = 1 if 2 * bits.bit_count() > graph.n else 0
             return _cut_rank_bits(graph, bits) + extra

@@ -1,14 +1,15 @@
 """Time the cut-table fill, the DP split loop and the balanced-cut scan in one process.
 
 For G(n, 1/2) at n = 14 and 16 (seed 1), times widths._cut_table for the
-two built-in cut functions, which fill each complementary pair once, and for
-a dataclasses.replace copy of each, which takes the full fill and the audit
-of every pair.  For each built-in it times the split loop alone
-(widths._subset_dp on a fresh copy of a filled table): over the full 2^n
-table, as exact_f_width runs it, and over the 2^(n-1) half table, as the
-leaf-rooted DP of the experiments runs it.  At each n it also times
-balanced_cut_lower_bound under cut-rank against widths._balanced_min on the
-rank table.  Each figure is the median of REPEATS wall times, the paths
+two built-in cut functions, which fill the 2^(n-1) subsets without vertex
+n - 1 by one walk, each cell built from its parent subset's state, and
+mirror them; and for a dataclasses.replace copy of each, which calls the
+per-subset kernel on all 2^n subsets and audits every pair.  For each
+built-in it times the split loop alone (widths._subset_dp on a fresh copy
+of a filled table): over the full 2^n table, as exact_f_width runs it, and
+over the 2^(n-1) half table, as the leaf-rooted DP of the experiments runs
+it.  At each n it also times balanced_cut_lower_bound under cut-rank
+against widths._balanced_min on the rank table.  Each figure is the median of REPEATS wall times, the paths
 alternating.  Prints one JSON object.
 
     PYTHONPATH=src python3 tools/fill_timing.py
