@@ -38,6 +38,7 @@ from .widths import (
     _balanced_min,
     _half_table,
     _leaf_rooted_width,
+    _mirrored,
     tree_cuts,
 )
 
@@ -86,13 +87,15 @@ def _check_n_values(
     n_values: tuple[int, ...], name: str, low: int, high: float = math.inf
 ) -> None:
     """Reject the first n, in list order, outside low..high or listed before it."""
-    for i, n in enumerate(n_values):
+    seen = set()
+    for n in n_values:
         if n < low:
             raise ValueError(f"n = {n} below the minimum {low} for {name}")
         if n > high:
             raise ValueError(f"n = {n} above the maximum {high} for {name}")
-        if n in n_values[:i]:
+        if n in seen:
             raise ValueError(f"n = {n} appears more than once in the n list")
+        seen.add(n)
 
 
 def _spread(key: str, values: list) -> dict:
@@ -135,7 +138,8 @@ def _run_trials(cfg: ExperimentConfig, trial: Callable, jobs: int) -> list[dict]
         from concurrent.futures import ProcessPoolExecutor
 
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # under fork every worker starts at once, so no more than there are trials
+            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
                 records = list(pool.map(_call_trial, tasks, chunksize=1))
         except OSError as exc:
             print(f"process pool unavailable ({exc}); running trials serially", file=sys.stderr)
@@ -224,8 +228,7 @@ def _scaling_trial(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     # The balanced bound reads the rank half table before the DP overwrites
     # it; _run_experiment has already checked n against the width cap.
     rank = _half_table(graph, CUT_RANK_FUNCTION)
-    top, full = 1 << (n - 1), (1 << n) - 1
-    lb = int(_balanced_min(lambda s: rank[s] if s < top else rank[full ^ s], n)[0])
+    lb = int(_balanced_min(_mirrored(rank).__getitem__, n)[0])
     rw = int(_leaf_rooted_width(graph, CUT_RANK_FUNCTION, rank).value)
     boolean = _half_table(graph, CUT_BOOL_FUNCTION)
     boolw = _leaf_rooted_width(graph, CUT_BOOL_FUNCTION, boolean).value

@@ -31,23 +31,35 @@ tree's own n - 1 splits (the root and the n - 2 internal nodes): at most
 n * 2^(n-1) lookups.  Ties between optimal splits resolve to the
 numerically smallest side, so the witness is deterministic.
 
-The scaling and boolw-rw experiment trials run the same loop on half the
-table (_leaf_rooted_width).  Every tree has the leaf edge {v} | V \\ {v} for
-v = n - 1, so the width is g[V \\ {v}], which needs only the 2^(n-1)
-subsets without v: the half a built-in's fill evaluates.  The values are
-exact_f_width's; the witness is another optimal tree, and those reports
-hold no tree text, so no byte changes.  exact_f_width keeps the full table,
-its root and its tie rule, so its witness text is unchanged.
+Every cut function is tabulated once, by _half_table, on the 2^(n-1)
+subsets without vertex n - 1: exactly the indices below 2^(n-1), so this is
+the lower half of the 2^n table.  The upper half is its mirror,
+table[full ^ s] = table[s], which _mirrored appends where a full table is
+read: exact_f_width runs its DP on the mirrored table.  The scaling and
+boolw-rw experiment trials run the same loop on the half alone
+(_leaf_rooted_width): every tree has the leaf edge {v} | V \\ {v} for
+v = n - 1, so the width is g[V \\ {v}], which needs only the subsets
+without v.  The values are exact_f_width's; the witness is another optimal
+tree, and those reports hold no tree text.
 
-The engine needs f(X) = f(V \\ X) and f(empty) = 0.  _audit_symmetry checks
-both.  exact_f_width fills a 2^n table of f.  For any cut function it
-evaluates every subset and audits every pair.  The built-in cut-rank and
-boolean cut functions are symmetric by theorem: their table is the half
-without vertex n - 1, mirrored, and a seeded sample is audited once per
-call, as the other engines do, when tree_width_under re-checks the witness.
-_half_table fills that half by one walk over its subsets, each cell built
-from its parent subset's state in one step, so no cell calls the per-subset
-kernels.
+The engine needs f(X) = f(V \\ X) and f(empty) = 0, and _audit_symmetry
+checks both, in one of two ways:
+
+- The built-in cut-rank and boolean cut functions (CUT_RANK_FUNCTION and
+  CUT_BOOL_FUNCTION, recognised by identity) are symmetric by theorem: a
+  matrix and its transpose have the same GF(2) rank, and a 0/1 matrix has
+  as many distinct row unions as column unions.  Their half is filled by
+  one walk over its subsets, each cell built from its parent subset's state
+  in one step (_rank_step, _bool_step), with no per-subset kernel call.
+  They are audited on a seeded sample of subsets, once per call, when
+  tree_width_under re-checks the witness: the audit tree_width_under,
+  brute_force_f_width and balanced_cut_lower_bound run for every f.
+- Any other cut function, a copy of a built-in included, is evaluated on
+  all 2^n subsets in ascending order, so an exception it raises comes
+  before any ContractError; then every complementary pair and f(empty) are
+  audited, and only the lower half is kept.  A pair that agrees only within
+  the audit's tolerance, or as an int and an equal float, therefore takes
+  the lower side's value on both sides.
 """
 
 from __future__ import annotations
@@ -75,14 +87,8 @@ class CutFunction:
 
     `evaluate` maps (Graph, Cut) to a real value; `bits_evaluate`, when
     given, is a faster path taking the cut as a packed int.  f must satisfy
-    f(X) = f(V \\ X) and f(empty) = 0.  exact_f_width checks every
-    complementary pair; the other engines check a seeded sample of subsets,
-    and so does exact_f_width on the two built-ins CUT_RANK_FUNCTION and
-    CUT_BOOL_FUNCTION, once per call, at the witness re-check.  The
-    built-ins are recognised by identity: exact_f_width fills their table
-    by _half_table's walk, without calling evaluate or bits_evaluate, while
-    a copy is evaluated on every subset and checked in full.  A violation
-    raises ContractError.
+    f(X) = f(V \\ X) and f(empty) = 0, or an engine raises ContractError;
+    the module docstring says how each engine audits that.
     """
 
     name: str
@@ -258,53 +264,18 @@ def _spot_check_symmetry(graph: Graph, f: CutFunction, ev: Callable[[int], float
     _audit_symmetry(f, ev, n, sample)
 
 
-def _cut_table(graph: Graph, f: CutFunction) -> list[float]:
-    """f on all 2^n subsets, empty and full included; the audit runs after the fill.
-
-    The two built-ins are symmetric by theorem: a matrix and its transpose
-    have the same GF(2) rank, and a 0/1 matrix has as many distinct row
-    unions as column unions.  For them the table is _half_table (the
-    2^(n-1) subsets without vertex n - 1, each built from its parent
-    subset's state) mirrored; their seeded sample is audited once per
-    exact_f_width call, when _verified re-checks the witness.  Any other
-    function is evaluated on every subset and audited on every pair.
-    """
-    if f is CUT_RANK_FUNCTION or f is CUT_BOOL_FUNCTION:
-        low = _half_table(graph, f)
-        # the upper half mirrors the lower one: table[full ^ s] = table[s]
-        return low + low[::-1]
-    n = graph.n
-    # 2^n separate floats fragment the heap, so the table holds one object
-    # per distinct value.  The type in the key keeps an int-valued
-    # function's ints, and zeros are left as returned so that 0.0 and -0.0
-    # are never merged.
-    intern = {}.setdefault
-    values = map(_bits_eval(graph, f), range(1 << n))
-    table = [intern((type(v), v), v) if v else v for v in values]
-    _audit_symmetry(f, table.__getitem__, n, range(1 << (n - 1)))
-    return table
-
-
 def _half_table(graph: Graph, f: CutFunction) -> list[float]:
-    """A built-in f on the 2^(n-1) subsets without vertex n - 1, by one walk over them.
+    """f on the 2^(n-1) subsets without vertex n - 1, audited as the module docstring says.
 
-    A pre-order walk visits each such subset Y once, as X + {v} with v
-    above X's top vertex, and builds Y's state from X's by one step:
-
-    - cut-rank: cutrk(Y) = dim span{A[w], e_w : w in Y} - |Y|, because the
-      unit vectors e_w span Y's own columns and the quotient by them is the
-      row space of A[Y, V \\ Y].  The state is a basis keyed by top bit, and
-      the step inserts e_v and A[v].
-    - boolean: with m = V \\ Y, the unions of Y's rows on m are u & m and
-      (u | A[v]) & m over the unions u of X's rows.  The state is that set,
-      and the cell is log2 of its size.  It has at most 2^min(|Y|, n - |Y|)
-      members, so it stays far below DEFAULT_SPACE_CAP at any n whose table
-      fits in memory.
-
-    No cell calls the per-subset kernels, and the values are theirs exactly.
-    The table holds one float object per distinct value.
+    The built-ins' walk visits each such subset Y once, as X + {v} with v
+    above X's top vertex, and builds Y's state from X's by one step; its
+    table holds one float object per distinct value.
     """
     n = graph.n
+    if f is not CUT_RANK_FUNCTION and f is not CUT_BOOL_FUNCTION:
+        table = list(map(_bits_eval(graph, f), range(1 << n)))
+        _audit_symmetry(f, table.__getitem__, n, range(1 << (n - 1)))
+        return table[: 1 << (n - 1)]
     table = [0.0] * (1 << (n - 1))
     if f is CUT_RANK_FUNCTION:
         step, state = _rank_step, ([0] * n, 0)
@@ -330,10 +301,17 @@ def _half_table(graph: Graph, f: CutFunction) -> list[float]:
     return table
 
 
+def _mirrored(low: list[float]) -> list[float]:
+    """The 2^n table of a half table: table[full ^ s] = low[s]."""
+    return low + low[::-1]
+
+
 def _rank_step(adj: tuple[int, ...], state: tuple, v: int, m: int) -> tuple[tuple, int]:
     """X's (basis by top bit, cut-rank) to Y's, for Y = X + {v}; also Y's cut-rank.
 
-    Y's basis spans A[w] and e_w for w in Y; m is unused.
+    Y's basis spans A[w] and e_w for w in Y, and cutrk(Y) is its dimension
+    minus |Y|: the e_w span Y's own columns, and the quotient by them is the
+    row space of A[Y, V \\ Y].  m is unused.
     """
     basis, r = state
     basis = basis[:]
@@ -351,7 +329,12 @@ def _rank_step(adj: tuple[int, ...], state: tuple, v: int, m: int) -> tuple[tupl
 
 
 def _bool_step(adj: tuple[int, ...], state: set[int], v: int, m: int) -> tuple[set[int], int]:
-    """X's row unions to Y's, both on m = V \\ Y, for Y = X + {v}; also their count."""
+    """X's row unions to Y's, both on m = V \\ Y, for Y = X + {v}; also their count.
+
+    Each union u of X's rows gives u & m and (u | A[v]) & m.  There are at
+    most 2^min(|Y|, n - |Y|), far below DEFAULT_SPACE_CAP at any n whose
+    table fits in memory.
+    """
     unions = {u & m for u in state}
     a = adj[v] & m
     unions |= {u | a for u in unions}
@@ -397,24 +380,17 @@ def exact_f_width(
 ) -> WidthResult:
     """Exact minimum f-width over all decomposition trees, with witnesses.
 
-    Subset dynamic programming over the exact table g[S] = max(f(S), c(S)),
-    at most O(3^n) side lookups with f memoized in a 2^n table, evaluated
-    against the global complement throughout and audited for symmetry (on
-    every pair before the DP, or for the two built-ins on a seeded sample
-    at the witness re-check; see _cut_table).  The sides T of S run in
-    increasing order over the non-empty subsets of S without its top bit;
-    a side with g[T] >= best is skipped, and the scan of S stops once
-    best <= f(S).  The witness tree is rebuilt from g, top-down, by a full
-    scan at each of its internal nodes only, and re-evaluated with
-    tree_width_under.  Ties between optimal splits resolve to the
-    numerically smallest side, so the witness tree is deterministic.
+    The subset DP of the module docstring, at most O(3^n) side lookups on
+    the mirrored half table of f.  The witness tree is rebuilt from g and
+    re-evaluated with tree_width_under; ties between optimal splits resolve
+    to the numerically smallest side, so it is deterministic.
     """
     n = graph.n
     if n > n_cap:
         raise CapExceeded(f"exact width needs n <= {n_cap}, got n = {n}")
     if n <= 1:
         return WidthResult(0.0, _trivial_tree(n), Cut(0, n))
-    g = _cut_table(graph, f)
+    g = _mirrored(_half_table(graph, f))
     full = (1 << n) - 1
     _subset_dp(g, full)
     value, t = _best_split(g, full)
@@ -422,7 +398,7 @@ def exact_f_width(
 
 
 def _leaf_rooted_width(graph: Graph, f: CutFunction, low: list[float]) -> WidthResult:
-    """exact_f_width's value for a built-in f, by the DP rooted at leaf n - 1.
+    """exact_f_width's value by the DP rooted at leaf n - 1 (see the module docstring).
 
     The DP overwrites low, f's _half_table, in place.  The witness is the
     optimal subtree on V \\ {n - 1} joined to leaf n - 1.  The caller checks

@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 
@@ -265,6 +266,14 @@ class TestUsageErrors:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_long_n_list_checked_in_linear_time(self):
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            ["exp", "scaling", "--seed", "1", "--trials", "1", "--n-list", "3..40000"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (1, "error: n = 17 above the exact width cap 16\n")
 
     def test_bad_n_list_is_named(self):
         _, _, err = run_cli(["exp", "envelope", "--n-list", "3,abc"])

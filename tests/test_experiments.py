@@ -378,3 +378,27 @@ class TestPoolFallback:
         assert lemma1_experiment(cfg, jobs=2) == serial
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "serially" in err
+
+    def test_pool_no_larger_than_the_trials(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        cfg = small_cfg("scaling", n_values=(6,), trials=2)
+        serial = scaling_experiment(cfg, jobs=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert scaling_experiment(cfg, jobs=8) == serial
+        assert sizes == [2]

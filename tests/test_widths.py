@@ -46,9 +46,9 @@ from widthlab.graphs import _cut_rank_bits
 from widthlab.widths import (
     _balanced_min,
     _bits_eval,
-    _cut_table,
     _half_table,
     _leaf_rooted_width,
+    _mirrored,
 )
 
 from conftest import run_cli
@@ -491,9 +491,9 @@ class TestReferenceDPOracle:
 
 
 class TestLeafRootedDP:
-    """The experiments' DP, rooted at the edge to leaf n - 1 on the built-ins'
-    half table: the value of exact_f_width and of the full-scan DP, and a
-    witness that re-evaluates to it."""
+    """The experiments' DP, rooted at the edge to leaf n - 1 on f's half
+    table: the value of exact_f_width and of the full-scan DP, and a witness
+    that re-evaluates to it."""
 
     def assert_same(self, graph, f):
         n = graph.n
@@ -503,7 +503,9 @@ class TestLeafRootedDP:
         ref = exact_f_width(graph, f)
         assert repr(res.value) == repr(ref.value)
         assert type(res.value) is type(ref.value)
-        assert repr(res.value) == repr(reference_min_max_dp(graph, f)[0])
+        value = reference_min_max_dp(graph, f)[0]
+        assert repr(res.value) == repr(value)
+        assert type(res.value) is type(value)
         tree = res.witness_tree
         assert tree.n_leaves == n and tree.node_count == 2 * n - 2
         assert tree_width_under(graph, tree, f).value == res.value
@@ -525,6 +527,13 @@ class TestLeafRootedDP:
             for g in named:
                 for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
                     self.assert_same(g, f)
+
+    def test_tie_heavy_custom_functions(self):
+        rng = SplitMix64(9292)
+        for n in range(2, 12):
+            g = sample_gnp_half(n, rng.next_word())
+            for f in (HALF_MIN_SIDE, INT_MIN_SIDE):
+                self.assert_same(g, f)
 
     def test_trivial_graphs(self):
         for n in (0, 1):
@@ -648,13 +657,13 @@ class TestIncrementalHalfFill:
 
 
 class TestHalfFilledCutTable:
-    """The built-ins' tables are the half table mirrored; every other
-    function, copies of the built-ins included, is filled and audited on
+    """Every function's full table is its half table mirrored; every function
+    but the built-ins, copies of them included, is evaluated and audited on
     every subset."""
 
     def assert_table_is_per_subset(self, g):
-        rank = _cut_table(g, CUT_RANK_FUNCTION)
-        boolean = _cut_table(g, CUT_BOOL_FUNCTION)
+        rank = _mirrored(_half_table(g, CUT_RANK_FUNCTION))
+        boolean = _mirrored(_half_table(g, CUT_BOOL_FUNCTION))
         assert len(rank) == len(boolean) == 1 << g.n
         for bits in range(1 << g.n):
             cut = Cut(bits, g.n)
@@ -676,15 +685,17 @@ class TestHalfFilledCutTable:
         for n in (2, 5, 9, 11):
             g = sample_gnp_half(n, rng.next_word())
             for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
-                seen = []
+                seen = {}
 
                 def counted(graph, bits, be=f.bits_evaluate):
-                    seen.append(bits)
-                    return be(graph, bits)
+                    seen[bits] = be(graph, bits)
+                    return seen[bits]
 
                 copy = dataclasses.replace(f, bits_evaluate=counted)
-                assert _cut_table(g, copy) == _cut_table(g, f)
-                assert sorted(set(seen)) == list(range(1 << n))
+                table = _mirrored(_half_table(g, f))
+                assert _mirrored(_half_table(g, copy)) == table
+                # every subset evaluated, each to the mirrored built-in's value
+                assert seen == dict(enumerate(table))
                 res, ref = exact_f_width(g, copy), exact_f_width(g, f)
                 assert repr(res.value) == repr(ref.value)
                 assert emit_tree(res.witness_tree) == emit_tree(ref.witness_tree)
@@ -700,6 +711,17 @@ class TestHalfFilledCutTable:
         with pytest.raises(ContractError, match="'rank' is not symmetric at subset 0x11"):
             exact_f_width(sample_gnp_half(6, 1), copy)
 
+    def test_own_exception_before_the_audit(self):
+        # 0x20 is the upper half's first subset at n = 6, evaluated after the
+        # asymmetric 0x1; every evaluation comes before the audit.
+        def raises_late(graph, bits):
+            if bits == 0x20:
+                raise KeyError("upper half")
+            return 9.0 if bits == 0x1 else float(_cut_rank_bits(graph, bits))
+
+        copy = dataclasses.replace(CUT_RANK_FUNCTION, bits_evaluate=raises_late)
+        with pytest.raises(KeyError, match="upper half"):
+            exact_f_width(sample_gnp_half(6, 1), copy)
 
     def test_builtins_audited_once_per_call(self, monkeypatch):
         # The fill makes no per-subset kernel call, so only the 69
@@ -742,7 +764,8 @@ class TestBalancedMinOnTheTable:
         rng = SplitMix64(8383)
         for n in range(3, 15):
             for g in [sample_gnp_half(n, rng.next_word())] + _named_graphs(n):
-                value, bits = _balanced_min(_cut_table(g, CUT_RANK_FUNCTION).__getitem__, n)
+                table = _mirrored(_half_table(g, CUT_RANK_FUNCTION))
+                value, bits = _balanced_min(table.__getitem__, n)
                 lb, cut = balanced_cut_lower_bound(g, CUT_RANK_FUNCTION)
                 assert repr(value) == repr(lb)
                 assert bits == cut.bits

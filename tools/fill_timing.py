@@ -1,16 +1,17 @@
 """Time the cut-table fill, the DP split loop and the balanced-cut scan in one process.
 
-For G(n, 1/2) at n = 14 and 16 (seed 1), times widths._cut_table for the
+For G(n, 1/2) at n = 14 and 16 (seed 1), times widths._half_table for the
 two built-in cut functions, which fill the 2^(n-1) subsets without vertex
-n - 1 by one walk, each cell built from its parent subset's state, and
-mirror them; and for a dataclasses.replace copy of each, which calls the
-per-subset kernel on all 2^n subsets and audits every pair.  For each
-built-in it times the split loop alone (widths._subset_dp on a fresh copy
-of a filled table): over the full 2^n table, as exact_f_width runs it, and
+n - 1 by one walk, each cell built from its parent subset's state; and for
+a dataclasses.replace copy of each, which calls the per-subset kernel on
+all 2^n subsets and audits every pair.  For each built-in it times the
+split loop alone (widths._subset_dp on a fresh copy of a filled table):
+over the full 2^n table (widths._mirrored), as exact_f_width runs it, and
 over the 2^(n-1) half table, as the leaf-rooted DP of the experiments runs
 it.  At each n it also times balanced_cut_lower_bound under cut-rank
-against widths._balanced_min on the rank table.  Each figure is the median of REPEATS wall times, the paths
-alternating.  Prints one JSON object.
+against widths._balanced_min on the mirrored rank table.  Each figure is
+the median of REPEATS wall times, the paths alternating.  Prints one JSON
+object.
 
     PYTHONPATH=src python3 tools/fill_timing.py
 """
@@ -24,8 +25,8 @@ import time
 from widthlab import CUT_BOOL_FUNCTION, CUT_RANK_FUNCTION, sample_gnp_half
 from widthlab.widths import (
     _balanced_min,
-    _cut_table,
     _half_table,
+    _mirrored,
     _subset_dp,
     balanced_cut_lower_bound,
 )
@@ -50,9 +51,10 @@ def main() -> None:
         g = sample_gnp_half(n, 1)
         for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
             copy = dataclasses.replace(f)
-            full, half = _median_s([lambda: _cut_table(g, copy), lambda: _cut_table(g, f)])
-            rows.append({"layer": f"cut_table.{f.name}", "n": n, "full_s": full, "half_s": half})
-            table, low = _cut_table(g, f), _half_table(g, f)
+            full, half = _median_s([lambda: _half_table(g, copy), lambda: _half_table(g, f)])
+            rows.append({"layer": f"half_table.{f.name}", "n": n, "full_s": full, "half_s": half})
+            low = _half_table(g, f)
+            table = _mirrored(low)
             full, leaf = _median_s(
                 [
                     lambda: _subset_dp(list(table), len(table) - 1),
@@ -60,7 +62,7 @@ def main() -> None:
                 ]
             )
             rows.append({"layer": f"split_loop.{f.name}", "n": n, "full_s": full, "leaf_s": leaf})
-        table = _cut_table(g, CUT_RANK_FUNCTION)
+        table = _mirrored(_half_table(g, CUT_RANK_FUNCTION))
         evaluated, read = _median_s(
             [
                 lambda: balanced_cut_lower_bound(g, CUT_RANK_FUNCTION),
