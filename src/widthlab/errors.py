@@ -26,9 +26,14 @@ class BooleanSpaceOverflow(WidthlabError):
 
 
 class ParseError(WidthlabError):
-    """Malformed textual input; position points at the offending byte or line."""
+    """Malformed textual input.
 
-    def __init__(self, message: str, position: int | None = None):
+    `position` is always given: the 0-based offset of the offending graph6
+    character, or the 1-based number of the offending line in the line-based
+    formats and CLI input files.
+    """
+
+    def __init__(self, message: str, position: int):
         super().__init__(message)
         self.position = position
 

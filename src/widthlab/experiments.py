@@ -16,7 +16,7 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from ._version import __version__
@@ -61,8 +61,8 @@ class ExperimentReport:
     generator: str
     version: str
     columns: tuple[str, ...]
-    records: tuple[dict, ...] = field(default_factory=tuple)
-    summaries: tuple[dict, ...] = field(default_factory=tuple)
+    records: tuple[dict, ...]
+    summaries: tuple[dict, ...]
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,6 @@ class Table:
 
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
-
-
-def _validate_config(cfg: ExperimentConfig, min_n: int) -> None:
-    if not cfg.n_values:
-        raise ValueError("config has an empty n list")
-    if cfg.trials < 1:
-        raise ValueError("config must request at least one trial")
-    if cfg.mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {cfg.mode!r}")
-    _check_n_values(cfg.n_values, cfg.name, min_n)
 
 
 def _check_n_values(
@@ -113,13 +103,13 @@ class _Spec:
     """What sets one experiment apart; `_run_experiment` does the rest.
 
     `name` is the experiment's, which its config must carry.
-    `trial(cfg, n, seed)` returns a record's columns after n, trial and seed;
+    `trial(cfg, n, seed)` returns a record's columns after n, trial and seed,
+    in report order;
     `summarize(n, rows)` returns a summary's fields after n and trials.
     """
 
     name: str
     trial: Callable[[ExperimentConfig, int, int], dict]
-    columns: tuple[str, ...]
     summarize: Callable[[int, list[dict]], dict]
     min_n: int
     width_capped: bool
@@ -155,7 +145,13 @@ def _run_experiment(spec: _Spec, cfg: ExperimentConfig, jobs: int) -> Experiment
         raise ValueError(f"the {spec.name} experiment was given a config named {cfg.name!r}")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    _validate_config(cfg, spec.min_n)
+    if not cfg.n_values:
+        raise ValueError("config has an empty n list")
+    if cfg.trials < 1:
+        raise ValueError("config must request at least one trial")
+    if cfg.mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {cfg.mode!r}")
+    _check_n_values(cfg.n_values, cfg.name, spec.min_n)
     if spec.width_capped:
         for n in cfg.n_values:
             if n > cfg.width_cap:
@@ -169,16 +165,13 @@ def _run_experiment(spec: _Spec, cfg: ExperimentConfig, jobs: int) -> Experiment
         config=cfg,
         generator=GENERATOR_NAME,
         version=__version__,
-        columns=spec.columns,
+        columns=tuple(records[0]),
         records=tuple(records),
         summaries=tuple(summaries),
     )
 
 
 # --- minimum submatrix rank under the square random-matrix model ---
-
-LEMMA1_COLUMNS = ("n", "trial", "seed", "mu", "rowset", "colset", "certified")
-
 
 def _lemma1_trial(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     matrix = sample_matrix(n, n, seed)
@@ -203,9 +196,7 @@ def _lemma1_summary(n: int, rows: list[dict]) -> dict:
     }
 
 
-_LEMMA1 = _Spec(
-    "lemma1", _lemma1_trial, LEMMA1_COLUMNS, _lemma1_summary, min_n=3, width_capped=False
-)
+_LEMMA1 = _Spec("lemma1", _lemma1_trial, _lemma1_summary, min_n=3, width_capped=False)
 
 
 def lemma1_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -219,9 +210,6 @@ def lemma1_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
 
 
 # --- widths of random graphs ---
-
-SCALING_COLUMNS = ("n", "trial", "seed", "rw", "boolw", "lb", "rw_over_n")
-
 
 def _scaling_trial(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     graph = sample_gnp_half(n, seed)
@@ -246,9 +234,7 @@ def _scaling_summary(n: int, rows: list[dict]) -> dict:
     }
 
 
-_SCALING = _Spec(
-    "scaling", _scaling_trial, SCALING_COLUMNS, _scaling_summary, min_n=3, width_capped=True
-)
+_SCALING = _Spec("scaling", _scaling_trial, _scaling_summary, min_n=3, width_capped=True)
 
 
 def scaling_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -264,18 +250,6 @@ def scaling_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport
 
 
 # --- booleanwidth against the subspace-count bound ---
-
-BOOLW_RW_COLUMNS = (
-    "n",
-    "trial",
-    "seed",
-    "rw",
-    "boolw",
-    "log2_galois_rw",
-    "cut_violations",
-    "graph_ok",
-)
-
 
 def _boolw_rw_trial(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     graph = sample_gnp_half(n, seed)
@@ -308,9 +282,7 @@ def _boolw_rw_summary(n: int, rows: list[dict]) -> dict:
     }
 
 
-_BOOLW_RW = _Spec(
-    "boolw-rw", _boolw_rw_trial, BOOLW_RW_COLUMNS, _boolw_rw_summary, min_n=1, width_capped=True
-)
+_BOOLW_RW = _Spec("boolw-rw", _boolw_rw_trial, _boolw_rw_summary, min_n=1, width_capped=True)
 
 
 def boolw_vs_rw_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:

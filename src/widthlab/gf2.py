@@ -32,15 +32,14 @@ class BitMatrix:
 
     __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, rows: int, cols: int, data: Iterable[int] = ()):
+    def __init__(self, rows: int, cols: int, data: Iterable[int]):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         packed = tuple(data)
         if len(packed) != rows:
             raise ValueError(f"expected {rows} packed rows, got {len(packed)}")
-        mask = (1 << cols) - 1
         for i, r in enumerate(packed):
-            if r < 0 or r & ~mask:
+            if r < 0 or r >> cols:
                 raise ValueError(f"row {i} has bits outside {cols} columns")
         self.rows = rows
         self.cols = cols

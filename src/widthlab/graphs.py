@@ -27,9 +27,8 @@ class Graph:
         adj = tuple(adj_words)
         if len(adj) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
-        mask = (1 << n) - 1
         for i, w in enumerate(adj):
-            if w < 0 or w & ~mask:
+            if w < 0 or w >> n:
                 raise ValueError(f"adjacency row {i} has bits outside {n} vertices")
             if (w >> i) & 1:
                 raise ValueError(f"self-loop at vertex {i}")
@@ -110,7 +109,7 @@ class Cut:
     n: int
 
     def __post_init__(self):
-        if self.n < 0 or self.bits < 0 or self.bits & ~((1 << self.n) - 1):
+        if self.n < 0 or self.bits < 0 or self.bits >> self.n:
             raise ValueError("cut bits outside the vertex range")
 
     @classmethod
@@ -273,26 +272,17 @@ def parse_graph6(text: str) -> Graph:
 
 
 def _g6_decode_length(s: str, offset: int) -> tuple[int, int]:
-    c0 = ord(s[0]) - 63
-    if c0 < 63:
-        return c0, 1
-    if len(s) >= 2 and s[1] == "~":
-        if len(s) < 8:
-            raise ParseError("truncated 8-byte graph6 length field", position=offset)
-        n = 0
-        for ch in s[2:8]:
-            n = (n << 6) | (ord(ch) - 63)
-        if n <= 258047:
-            raise ParseError("overlong graph6 length encoding", position=offset)
-        return n, 8
-    if len(s) < 4:
-        raise ParseError("truncated 4-byte graph6 length field", position=offset)
+    """n and the field's width; the field must be the one _g6_encode_length(n) writes."""
+    tildes = 2 if s.startswith("~~") else int(s[0] == "~")
+    width = (1, 4, 8)[tildes]
+    if len(s) < width:
+        raise ParseError(f"truncated {width}-byte graph6 length field", position=offset)
     n = 0
-    for ch in s[1:4]:
+    for ch in s[tildes:width]:
         n = (n << 6) | (ord(ch) - 63)
-    if n <= 62:
+    if s[:width] != _g6_encode_length(n):
         raise ParseError("overlong graph6 length encoding", position=offset)
-    return n, 4
+    return n, width
 
 
 # --- edge-list text format ---

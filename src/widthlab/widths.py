@@ -188,13 +188,6 @@ class DecompositionTree:
         self._parent = tuple(parent)
         self._below = tuple(below)
 
-    def validate_for(self, n: int) -> None:
-        """Check the leaf bijection against a graph on n vertices."""
-        if len(self.leaf_map) != n:
-            raise StructureError(
-                f"tree has {len(self.leaf_map)} leaves for a graph on {n} vertices"
-            )
-
     @property
     def n_leaves(self) -> int:
         return len(self.leaf_map)
@@ -343,7 +336,8 @@ def _bool_step(adj: tuple[int, ...], state: set[int], v: int, m: int) -> tuple[s
 
 def tree_width_under(graph: Graph, tree: DecompositionTree, f: CutFunction) -> WidthResult:
     """Width of one decomposition tree: max of f over its edge-induced cuts."""
-    tree.validate_for(graph.n)
+    if tree.n_leaves != graph.n:
+        raise StructureError(f"tree has {tree.n_leaves} leaves for a graph on {graph.n} vertices")
     if graph.n <= 1:
         return WidthResult(0.0, tree, Cut(0, graph.n))
     ev = _bits_eval(graph, f)

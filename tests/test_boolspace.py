@@ -139,6 +139,8 @@ class TestSubspaceCounts:
     def test_k_above_r_rejected(self):
         with pytest.raises(ValueError):
             gaussian_binomial(2, 3)
+        with pytest.raises(ValueError, match="^r must be nonnegative$"):
+            gaussian_binomial(-1, 0)
 
     def test_galois_small(self):
         assert galois_number(0) == 1

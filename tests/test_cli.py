@@ -49,6 +49,12 @@ class TestGen:
         assert code == 2
         assert out == ""
 
+    def test_non_integer_env_seed_is_usage_error(self, monkeypatch):
+        monkeypatch.setenv("WIDTHLAB_SEED", "abc")
+        code, out, err = run_cli(["gen", "--n", "3"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: WIDTHLAB_SEED='abc' is not an integer\n")
+
 
 class TestWidth:
     def test_complete_graph(self, tmp_path):
@@ -85,6 +91,14 @@ class TestWidth:
         assert code == 2
         assert out == "0 1\n"  # the failing graph writes no stdout line
         assert "1 error:" in err
+
+    def test_huge_edge_list_vertex_count_fails_fast(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("300000\n")
+        start = time.perf_counter()
+        result = run_cli(["width", "--input-format", "edges", "--input", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert result == (2, "", "0 error: exact width needs n <= 16, got n = 300000\n")
 
     def test_witness_check_round_trip(self, tmp_path):
         gpath = write_graphs(tmp_path, [cycle_graph(6)])
@@ -278,6 +292,7 @@ class TestUsageErrors:
     def test_bad_n_list_is_named(self):
         _, _, err = run_cli(["exp", "envelope", "--n-list", "3,abc"])
         assert "'3,abc'" in err and "'abc'" in err
+        assert run_cli(["exp", "envelope", "--n-list", ","]) == (1, "", "error: empty n list ','\n")
 
 
 def _bad_graph_input(fmt):
@@ -347,6 +362,9 @@ class TestCounts:
         code, out, err = run_cli(["gen", "--n", "3", "--seed", "1", "--count", "-1"])
         assert (code, out) == (2, "")
         assert "--count" in err
+        code, out, err = run_cli(["gen", "--n", "-1", "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: --n must be nonnegative\n")
 
     def test_gen_zero_count_writes_nothing(self):
         assert run_cli(["gen", "--n", "3", "--seed", "1", "--count", "0"]) == (0, "", "")

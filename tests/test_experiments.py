@@ -326,17 +326,19 @@ class TestReportSerialization:
 
     def test_empty_report_degenerates_cleanly(self, tmp_path):
         from widthlab import ExperimentReport
-        from widthlab.experiments import LEMMA1_COLUMNS
 
+        columns = ("n", "trial", "seed", "mu", "rowset", "colset", "certified")
         empty = ExperimentReport(
             config=small_cfg("lemma1", trials=1),
             generator="splitmix64",
             version="0.1.0",
-            columns=LEMMA1_COLUMNS,
+            columns=columns,
+            records=(),
+            summaries=(),
         )
         write_report(empty, "csv", tmp_path / "e.csv")
         lines = (tmp_path / "e.csv").read_text().splitlines()
-        assert lines[-1] == ",".join(LEMMA1_COLUMNS)  # preamble + header only
+        assert lines[-1] == ",".join(columns)  # preamble + header only
         write_report(empty, "jsonl", tmp_path / "e.jsonl")
         objs = [json.loads(ln) for ln in (tmp_path / "e.jsonl").read_text().splitlines()]
         assert len(objs) == 1 and "summaries" in objs[0]

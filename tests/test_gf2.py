@@ -36,6 +36,13 @@ class TestBitMatrix:
             BitMatrix(2, 2, [1])  # wrong row count
         with pytest.raises(ValueError):
             BitMatrix(-1, 2, [])
+        with pytest.raises(ValueError, match="^cols is required for a matrix with no rows$"):
+            BitMatrix.from_rows([])
+        assert BitMatrix.from_rows([], cols=3) == BitMatrix(0, 3, [])
+        with pytest.raises(ValueError, match="^row 1 has length 1, expected 2$"):
+            BitMatrix.from_rows([[0, 1], [1]])
+        with pytest.raises(ValueError, match=r"^entry \(0,1\) is 2, not a bit$"):
+            BitMatrix.from_rows([[0, 2]])
 
     def test_degenerate_shapes_are_legal(self):
         for m in (BitMatrix(0, 5, []), BitMatrix(5, 0, [0] * 5), BitMatrix(0, 0, [])):
@@ -47,6 +54,8 @@ class TestBitMatrix:
         assert m.to_lists() == [[1, 0, 1], [0, 1, 1]]
         with pytest.raises(IndexError):
             m.get(2, 0)
+        with pytest.raises(IndexError, match="^column index 3 out of range for 3 columns$"):
+            m.get(0, 3)
 
     def test_transpose(self):
         m = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
@@ -164,6 +173,8 @@ class TestSampleMatrix:
     def test_empty_cases(self):
         assert sample_matrix(0, 5, 9).rows == 0
         assert sample_matrix(5, 0, 9).cols == 0
+        with pytest.raises(ValueError, match="^matrix dimensions must be nonnegative$"):
+            sample_matrix(-1, 2, 0)
 
     def test_ones_fraction_near_half(self):
         # law of large numbers over 1e5 8x8 samples
@@ -240,6 +251,19 @@ class TestMinSubmatrixRank:
             exact = min_submatrix_rank_exhaustive(m, 2, 4)[0]
             est = min_submatrix_rank_sampled(m, 2, 4, 5, rng.next_word())[0]
             assert est >= exact
+
+    def test_shape_and_trials_checked(self):
+        m = sample_matrix(4, 5, 3)
+        for minimize, extra in (
+            (min_submatrix_rank_exhaustive, ()),
+            (min_submatrix_rank_sampled, (1, 7)),
+        ):
+            with pytest.raises(ValueError, match="^need 0 <= m <= 4, got 5$"):
+                minimize(m, 5, 2, *extra)
+            with pytest.raises(ValueError, match="^need 0 <= k <= 5, got -1$"):
+                minimize(m, 2, -1, *extra)
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            min_submatrix_rank_sampled(m, 2, 2, 0, 7)
 
     def test_work_cap(self):
         with pytest.raises(CapExceeded, match="sampled"):

@@ -34,6 +34,14 @@ class TestGraph:
             Graph(2, [2, 0])
         with pytest.raises(ValueError, match="self-loop"):
             Graph(1, [1])
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            Graph(-1, [])
+        with pytest.raises(ValueError, match="^expected 2 adjacency rows, got 1$"):
+            Graph(2, [0])
+        with pytest.raises(ValueError, match="^adjacency row 0 has bits outside 2 vertices$"):
+            Graph(2, [4, 0])
+        with pytest.raises(ValueError, match="^a cycle needs at least 3 vertices$"):
+            cycle_graph(2)
 
     def test_edges_and_adjacency(self):
         g = Graph.from_edges(4, [(2, 0), (1, 2)])
@@ -45,6 +53,8 @@ class TestGraph:
     def test_from_adjacency(self):
         m = BitMatrix.from_rows([[0, 1], [1, 0]])
         assert Graph.from_adjacency(m).edges() == [(0, 1)]
+        with pytest.raises(ValueError, match="^adjacency matrix must be square$"):
+            Graph.from_adjacency(BitMatrix.from_rows([[0, 1]]))
 
     def test_relabel(self):
         g = path_graph(4)
@@ -66,6 +76,8 @@ class TestCut:
             Cut.from_vertices(3, [3])
         with pytest.raises(ValueError):
             Cut(1 << 3, 3)
+        with pytest.raises(ValueError, match="^cut over 3 vertices used with a graph on 4$"):
+            cut_rank(path_graph(4), Cut(1, 3))
 
 
 class TestSampling:
@@ -183,6 +195,11 @@ class TestGraph6:
         with pytest.raises(ParseError, match="padding"):
             # n=2: one payload char; only the top bit may be set
             parse_graph6(chr(63 + 2) + chr(63 + 1))
+
+    def test_encode_rejects_n_past_the_8_byte_field(self):
+        assert _g6_encode_length(2**36 - 1) == "~~~~~~~~"
+        with pytest.raises(ValueError, match="^graph too large for graph6$"):
+            _g6_encode_length(2**36)
 
     def test_parse_error_reports_offset(self):
         try:

@@ -27,6 +27,31 @@ def test_fill_timing_imports_resolve():
     assert callable(namespace["main"])
 
 
+def test_knobs_are_exactly_the_pinned_list():
+    # a new public default shows up in review as an edit to this list
+    run = subprocess.run(
+        [sys.executable, str(TOOLS / "knobs.py")], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "BitMatrix.from_rows(cols)",
+        "min_submatrix_rank_exhaustive(pair_cap)",
+        "boolean_row_space_size(cap)",
+        "CutFunction(bits_evaluate)",
+        "exact_f_width(n_cap)",
+        "balanced_cut_lower_bound(n_cap)",
+        "ExperimentConfig(mode)",
+        "ExperimentConfig(work_cap)",
+        "ExperimentConfig(width_cap)",
+        "ExperimentConfig(sample_trials)",
+        "lemma1_experiment(jobs)",
+        "scaling_experiment(jobs)",
+        "boolw_vs_rw_experiment(jobs)",
+        "render_table(float_formats)",
+        "total 14",
+    ]
+
+
 def test_knobs_total_is_the_number_of_listed_parameters():
     run = subprocess.run(
         [sys.executable, str(TOOLS / "knobs.py")], capture_output=True, text=True
