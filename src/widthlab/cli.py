@@ -18,7 +18,7 @@ from ._version import __version__
 from .boolspace import bell, galois_number
 from .errors import ParseError, WidthlabError
 from .gf2 import DEFAULT_PAIR_CAP, rank_distribution_oracle
-from .graphs import Graph, emit_edge_list, emit_graph6, parse_edge_list, parse_graph6, _sample_gnp_from
+from .graphs import Graph, emit_edge_list, emit_graph6, parse_graph6, _edge_list_parts, _sample_gnp_from
 from .rng import SplitMix64
 from .experiments import (
     ExperimentConfig,
@@ -37,6 +37,8 @@ from .widths import (
     CUT_BOOL_FUNCTION,
     CUT_RANK_FUNCTION,
     DEFAULT_EXACT_CAP,
+    _check_balanced_n,
+    _check_exact_cap,
     balanced_cut_lower_bound,
     emit_tree,
     exact_f_width,
@@ -89,11 +91,18 @@ def _graph_texts(path: str, fmt: str) -> list[tuple[int, str]]:
     return chunks
 
 
-def _parse_graph(lineno: int, text: str, fmt: str) -> Graph:
+def _parse_graph(lineno: int, text: str, fmt: str, check_n=None) -> Graph:
+    """The graph in text; an edge list's vertex count goes to check_n(n), if
+    given, before the graph's rows are allocated."""
     try:
-        return parse_graph6(text) if fmt == "g6" else parse_edge_list(text)
+        if fmt == "g6":
+            return parse_graph6(text)
+        n, edges = _edge_list_parts(text)
     except ParseError as exc:
         raise ParseError(f"line {lineno}: {exc}", position=lineno) from exc
+    if check_n is not None:
+        check_n(n)
+    return Graph.from_edges(n, edges)
 
 
 def _parse_n_list(spec: str) -> tuple[int, ...]:
@@ -147,9 +156,10 @@ def _lb_text(graph: Graph, args) -> str:
 def _cmd_batch(args, parser) -> int:
     """Run `width` or `lb` per input graph; a failed graph prints only to stderr."""
     failed = False
+    check_n = functools.partial(args.check_n, n_cap=args.cap)
     for idx, (lineno, text) in enumerate(_graph_texts(args.input, args.input_format)):
         try:
-            graph = _parse_graph(lineno, text, args.input_format)
+            graph = _parse_graph(lineno, text, args.input_format, check_n)
             sys.stdout.write(f"{idx} {args.text(graph, args)}")
         except (WidthlabError, ValueError) as exc:
             print(f"{idx} error: {exc}", file=sys.stderr)
@@ -225,7 +235,8 @@ def _cmd_oracle(args, parser) -> int:
 
 # One parser per process, built on first use so that importing the module
 # stays cheap.  Each subcommand carries its handler as `run`; width and lb
-# also carry their per-graph `text`.
+# also carry their per-graph `text` and `check_n`, the engine's check of n
+# against --cap, run on an edge list's vertex count before the graph is built.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -252,11 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_width.add_argument(
         "--cap", type=int, default=DEFAULT_EXACT_CAP, help="exact engine vertex cap"
     )
-    p_width.set_defaults(run=_cmd_batch, text=_width_text)
+    p_width.set_defaults(run=_cmd_batch, text=_width_text, check_n=_check_exact_cap)
 
     p_lb = sub.add_parser("lb", parents=[inputs], help="balanced-cut lower bound per input graph")
     p_lb.add_argument("--cap", type=int, default=BALANCED_CAP, help="balanced enumeration cap")
-    p_lb.set_defaults(run=_cmd_batch, text=_lb_text)
+    p_lb.set_defaults(run=_cmd_batch, text=_lb_text, check_n=_check_balanced_n)
 
     p_check = sub.add_parser(
         "check", parents=[inputs], help="re-evaluate a serialized tree on a graph"

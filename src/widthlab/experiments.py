@@ -38,7 +38,6 @@ from .widths import (
     _balanced_min,
     _half_table,
     _leaf_rooted_width,
-    _mirrored,
     tree_cuts,
 )
 
@@ -216,7 +215,7 @@ def _scaling_trial(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     # The balanced bound reads the rank half table before the DP overwrites
     # it; _run_experiment has already checked n against the width cap.
     rank = _half_table(graph, CUT_RANK_FUNCTION)
-    lb = int(_balanced_min(_mirrored(rank).__getitem__, n)[0])
+    lb = int(_balanced_min(rank)[0])
     rw = int(_leaf_rooted_width(graph, CUT_RANK_FUNCTION, rank).value)
     boolean = _half_table(graph, CUT_BOOL_FUNCTION)
     boolw = _leaf_rooted_width(graph, CUT_BOOL_FUNCTION, boolean).value

@@ -292,6 +292,11 @@ def _g6_decode_length(s: str, offset: int) -> tuple[int, int]:
 
 
 def parse_edge_list(text: str) -> Graph:
+    return Graph.from_edges(*_edge_list_parts(text))
+
+
+def _edge_list_parts(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """An edge list's vertex count and edges, each line checked; no graph built yet."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError("missing vertex-count line", position=1)
@@ -317,7 +322,7 @@ def parse_edge_list(text: str) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"endpoint out of range on line {lineno}", position=lineno)
         edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    return n, edges
 
 
 def emit_edge_list(graph: Graph) -> str:

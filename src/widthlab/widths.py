@@ -27,20 +27,33 @@ g[T] >= best cannot strictly improve the best split found so far, and the
 scan of S stops as soon as best <= f(S), because then g[S] = f(S) whatever
 c(S) is.  Early stops leave c(S) itself unknown, so the witness tree is
 rebuilt from the exact g afterwards, by a full ascending scan at each of the
-tree's own n - 1 splits (the root and the n - 2 internal nodes): at most
-n * 2^(n-1) lookups.  Ties between optimal splits resolve to the
-numerically smallest side, so the witness is deterministic.
+tree's own n - 1 splits (the root and the n - 2 internal nodes).  Ties
+between optimal splits resolve to the numerically smallest side, so the
+witness is deterministic.
 
 Every cut function is tabulated once, by _half_table, on the 2^(n-1)
 subsets without vertex n - 1: exactly the indices below 2^(n-1), so this is
-the lower half of the 2^n table.  The upper half is its mirror,
-table[full ^ s] = table[s], which _mirrored appends where a full table is
-read: exact_f_width runs its DP on the mirrored table.  The scaling and
-boolw-rw experiment trials run the same loop on the half alone
-(_leaf_rooted_width): every tree has the leaf edge {v} | V \\ {v} for
-v = n - 1, so the width is g[V \\ {v}], which needs only the subsets
-without v.  The values are exact_f_width's; the witness is another optimal
-tree, and those reports hold no tree text.
+the lower half of the 2^n table.  The upper half is never built: f of a set
+u holding n - 1 is f_half[full ^ u].  Every tree has the leaf edge
+{v} | V \\ {v} for v = n - 1, so the width w is g[V \\ {v}], and the DP
+runs on the lower half alone (_subset_dp up to 2^(n-1)).  The scaling and
+boolw-rw experiment trials stop there (_leaf_rooted_width): their witness
+is rooted at that leaf edge, and those reports hold no tree text.
+
+exact_f_width keeps the witness of the DP over all 2^n sets.  Its root side
+is {0}: the scan tries it first, and it is optimal, because every tree has
+the leaf edge of vertex 0 too.  For the sets u holding n - 1 below the root,
+exact_f_width decides g[u] <= k instead of tabulating g[u]
+(_upper_side): g[u] <= k iff f(u) <= k and some side T of u without n - 1
+has g[T] <= k and g[u \\ T] <= k, where g[T] is read below the half and
+g[u \\ T] is decided in turn, memoised on (u \\ T, k).  A witness node
+below the half takes _best_split's side; a node above it finds c(u) by a
+binary search over the table's distinct values up to w, then takes the
+first side that passes at c(u), which is the side the full scan would take
+(_upper_split).  The width is returned as the very object the full DP would
+return (_full_dp_value), which matters only for an f whose equal values
+differ in type.  balanced_cut_lower_bound reads the same half table, at
+f_half[s] or f_half[full ^ s] (_balanced_min).
 
 The engine needs f(X) = f(V \\ X) and f(empty) = 0, and _audit_symmetry
 checks both, in one of two ways:
@@ -51,13 +64,14 @@ checks both, in one of two ways:
   as many distinct row unions as column unions.  Their half is filled by
   one walk over its subsets, each cell built from its parent subset's state
   in one step (_rank_step, _bool_step), with no per-subset kernel call.
-  They are audited on a seeded sample of subsets, once per call, when
-  tree_width_under re-checks the witness: the audit tree_width_under,
-  brute_force_f_width and balanced_cut_lower_bound run for every f.
+  They are audited on a seeded sample of subsets, once per call: when
+  tree_width_under re-checks the witness, or after the lower bound's fill.
+  tree_width_under and brute_force_f_width run that audit for every f.
 - Any other cut function, a copy of a built-in included, is evaluated on
   all 2^n subsets in ascending order, so an exception it raises comes
-  before any ContractError; then every complementary pair and f(empty) are
-  audited, and only the lower half is kept.  A pair that agrees only within
+  before any ContractError.  Every complementary pair and f(empty) are
+  audited, and only the lower half is kept: an upper value is compared with
+  its mirror when it is evaluated, then dropped.  A pair that agrees only within
   the audit's tolerance, or as an int and an equal float, therefore takes
   the lower side's value on both sides.
 """
@@ -65,6 +79,7 @@ checks both, in one of two ways:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional
@@ -241,12 +256,18 @@ def _audit_symmetry(
     full = (1 << n) - 1
     for s in subsets:
         a, b = val(s), val(full ^ s)
-        if not math.isclose(a, b, rel_tol=_SYMMETRY_TOL, abs_tol=_SYMMETRY_TOL):
-            raise ContractError(
-                f"cut function {f.name!r} is not symmetric at subset {s:#x}: {a} vs {b}"
-            )
+        if not _agree(a, b):
+            raise _asymmetry(f, s, a, b)
     if abs(val(0)) > _SYMMETRY_TOL:
         raise ContractError(f"cut function {f.name!r} must vanish on the empty side")
+
+
+def _agree(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=_SYMMETRY_TOL, abs_tol=_SYMMETRY_TOL)
+
+
+def _asymmetry(f: CutFunction, s: int, a: float, b: float) -> ContractError:
+    return ContractError(f"cut function {f.name!r} is not symmetric at subset {s:#x}: {a} vs {b}")
 
 
 def _spot_check_symmetry(graph: Graph, f: CutFunction, ev: Callable[[int], float]) -> None:
@@ -266,9 +287,21 @@ def _half_table(graph: Graph, f: CutFunction) -> list[float]:
     """
     n = graph.n
     if f is not CUT_RANK_FUNCTION and f is not CUT_BOOL_FUNCTION:
-        table = list(map(_bits_eval(graph, f), range(1 << n)))
-        _audit_symmetry(f, table.__getitem__, n, range(1 << (n - 1)))
-        return table[: 1 << (n - 1)]
+        val = _bits_eval(graph, f)
+        half, full = 1 << (n - 1), (1 << n) - 1
+        table = list(map(val, range(half)))
+        # each upper value is compared with its mirror as it comes and then
+        # dropped; the last failure seen has the smallest lower side, the
+        # pair an ascending audit would report
+        bad = None
+        for u in range(half, full + 1):
+            b = val(u)
+            if not _agree(table[full ^ u], b):
+                bad = full ^ u, b
+        if bad is not None:
+            raise _asymmetry(f, bad[0], table[bad[0]], bad[1])
+        _audit_symmetry(f, table.__getitem__, n, ())  # f(empty) only
+        return table
     table = [0.0] * (1 << (n - 1))
     if f is CUT_RANK_FUNCTION:
         step, state = _rank_step, ([0] * n, 0)
@@ -292,11 +325,6 @@ def _half_table(graph: Graph, f: CutFunction) -> list[float]:
         if more:
             stack.append((y, state, v + 1))
     return table
-
-
-def _mirrored(low: list[float]) -> list[float]:
-    """The 2^n table of a half table: table[full ^ s] = low[s]."""
-    return low + low[::-1]
 
 
 def _rank_step(adj: tuple[int, ...], state: tuple, v: int, m: int) -> tuple[tuple, int]:
@@ -369,26 +397,111 @@ def _trivial_tree(n: int) -> DecompositionTree:
     return DecompositionTree(n, [], {v: v for v in range(n)})
 
 
+def _check_exact_cap(n: int, n_cap: int) -> None:
+    """exact_f_width's check of n, which the CLI also runs on an edge list's vertex count."""
+    if n > n_cap:
+        raise CapExceeded(f"exact width needs n <= {n_cap}, got n = {n}")
+
+
 def exact_f_width(
     graph: Graph, f: CutFunction, n_cap: int = DEFAULT_EXACT_CAP
 ) -> WidthResult:
     """Exact minimum f-width over all decomposition trees, with witnesses.
 
     The subset DP of the module docstring, at most O(3^n) side lookups on
-    the mirrored half table of f.  The witness tree is rebuilt from g and
-    re-evaluated with tree_width_under; ties between optimal splits resolve
-    to the numerically smallest side, so it is deterministic.
+    f's half table, with the sets holding vertex n - 1 decided on demand.
+    The witness tree is the full DP's, rebuilt and re-evaluated with
+    tree_width_under; ties between optimal splits resolve to the
+    numerically smallest side, so it is deterministic.
     """
     n = graph.n
-    if n > n_cap:
-        raise CapExceeded(f"exact width needs n <= {n_cap}, got n = {n}")
+    _check_exact_cap(n, n_cap)
     if n <= 1:
         return WidthResult(0.0, _trivial_tree(n), Cut(0, n))
-    g = _mirrored(_half_table(graph, f))
-    full = (1 << n) - 1
-    _subset_dp(g, full)
-    value, t = _best_split(g, full)
-    return _verified(graph, f, value, _witness_tree(g, n, t))
+    f_half = _half_table(graph, f)
+    low = f_half[:]
+    half = len(low)
+    _subset_dp(low, half)
+    w = low[half - 1]
+    memo: dict = {}  # k -> {u: the first side of u passing at k, or 0}
+    values = sorted({v for v in f_half if v <= w})
+    upper: dict = {}  # witness node holding n - 1 -> (c(u), its side)
+
+    def split(s: int) -> int:
+        if s < half:
+            return _best_split(low, s)[1]
+        upper[s] = _upper_split(low, f_half, memo, values, s)
+        return upper[s][1]
+
+    # the full scan's root side is {0}: the first side, and an optimal one,
+    # since every tree has the leaf edge of vertex 0
+    tree = _witness_tree(split, n, 1)
+    return _verified(graph, f, _full_dp_value(low, f_half, upper, w), tree)
+
+
+def _full_dp_value(low: list[float], f_half: list[float], upper: dict, w: float) -> float:
+    """The object the full DP returns for the width w, read down the witness.
+
+    That is g[{0}] if it equals w, else g[V \\ {0}].  g of a witness node u
+    holding n - 1 is f(u) if c(u) <= f(u), else its side T's g[T] if that
+    equals c(u), else g[u \\ T], the next such node.  The objects differ only
+    for an f whose equal values differ in type, as 1 and 1.0.
+    """
+    full = (len(low) << 1) - 1
+    if low[1] >= w:
+        return low[1]
+    u = full ^ 1
+    while u in upper:
+        c, t = upper[u]
+        if c <= f_half[full ^ u]:
+            break
+        if low[t] >= c:
+            return low[t]
+        u ^= t
+    return f_half[full ^ u]
+
+
+def _upper_side(low: list[float], f_half: list[float], seen: dict, u: int, k: float) -> int:
+    """The first side T of u, ascending, with g[T] <= k and g[u \\ T] <= k; 0 if none.
+
+    u holds vertex n - 1, so T runs over the non-empty subsets of u without
+    it and u \\ T holds it too: f(u \\ T) <= k is read from f_half, the rest
+    of g[u \\ T] <= k decided by recursion.  seen memoises the sets scanned
+    at this k.  A module function, not a closure, as _subtree is.
+    """
+    side = seen.get(u)
+    if side is not None:
+        return side
+    half = len(low)
+    rest = u ^ half
+    comp = ((half << 1) - 1) ^ u
+    t = 0
+    while True:
+        t = (t - rest) & rest
+        if (
+            not t
+            or low[t] <= k
+            and f_half[comp | t] <= k
+            and (t == rest or _upper_side(low, f_half, seen, u ^ t, k))
+        ):
+            seen[u] = t
+            return t
+
+
+def _upper_split(
+    low: list[float], f_half: list[float], memo: dict, values: list[float], s: int
+) -> tuple[float, int]:
+    """c(s) and _best_split's side of s, a witness node holding vertex n - 1.
+
+    c(s) is the least of values, the table's distinct values up to the
+    width, at which a side passes, and the side is the first that passes.
+    """
+
+    def side(k: float) -> int:
+        return _upper_side(low, f_half, memo.setdefault(k, {}), s, k)
+
+    c = values[bisect_left(values, True, key=lambda k: side(k) != 0)]
+    return c, side(c)
 
 
 def _leaf_rooted_width(graph: Graph, f: CutFunction, low: list[float]) -> WidthResult:
@@ -403,11 +516,12 @@ def _leaf_rooted_width(graph: Graph, f: CutFunction, low: list[float]) -> WidthR
         return WidthResult(0.0, _trivial_tree(n), Cut(0, n))
     rest = (1 << (n - 1)) - 1
     _subset_dp(low, rest + 1)
-    return _verified(graph, f, low[rest], _witness_tree(low, n, rest))
+    tree = _witness_tree(lambda s: _best_split(low, s)[1], n, rest)
+    return _verified(graph, f, low[rest], tree)
 
 
 def _subset_dp(g: list[float], bound: int) -> None:
-    """The DP of both roots: g[S] = f(S) becomes max(f(S), c(S)) for 2 < S < bound."""
+    """The DP below bound: g[S] = f(S) becomes max(f(S), c(S)) for 2 < S < bound."""
     for s in range(3, bound):
         if s & (s - 1):
             fs = g[s]
@@ -440,33 +554,33 @@ def _best_split(g: list[float], s: int, stop: float = -math.inf) -> tuple[float,
                     return best, side
 
 
-def _witness_tree(g: list[float], n: int, t: int) -> DecompositionTree:
-    """An optimal tree whose root edge splits V into t and V \\ t, rebuilt from g.
+def _witness_tree(split: Callable[[int], int], n: int, t: int) -> DecompositionTree:
+    """An optimal tree whose root edge splits V into t and V \\ t.
 
-    Only the tree's own nodes are scanned.  Leaf v is node v; internal nodes
-    are numbered n, n+1, ... in post-order, smaller side first.  A singleton
-    side is its leaf, so g need not hold it.
+    split(s) is the side an internal node on leaf set s splits off; only the
+    tree's own nodes are split.  Leaf v is node v; internal nodes are
+    numbered n, n+1, ... in post-order, smaller side first.
     """
     edges: list[tuple[int, int]] = []
-    a = _subtree(g, t, n, edges)
-    b = _subtree(g, ((1 << n) - 1) ^ t, n, edges)
+    a = _subtree(split, t, n, edges)
+    b = _subtree(split, ((1 << n) - 1) ^ t, n, edges)
     edges.append((a, b))
     return DecompositionTree(n + len(edges) // 2, edges, {v: v for v in range(n)})
 
 
-def _subtree(g: list[float], s: int, n: int, edges: list[tuple[int, int]]) -> int:
+def _subtree(split: Callable[[int], int], s: int, n: int, edges: list[tuple[int, int]]) -> int:
     """Append the optimal subtree on leaf set s to edges; return its top node.
 
     A module function, not a closure: a recursive closure is a reference
-    cycle that would keep the 2^n table g alive until the cyclic collector
+    cycle that would keep the DP's tables alive until the cyclic collector
     runs.  Each finished internal node adds two edges, so the next node
     number is n + len(edges) // 2.
     """
     if s & (s - 1) == 0:
         return s.bit_length() - 1
-    t = _best_split(g, s)[1]
-    a = _subtree(g, t, n, edges)
-    b = _subtree(g, s ^ t, n, edges)
+    t = split(s)
+    a = _subtree(split, t, n, edges)
+    b = _subtree(split, s ^ t, n, edges)
     node = n + len(edges) // 2
     edges.append((a, node))
     edges.append((node, b))
@@ -559,6 +673,14 @@ def brute_force_f_width(graph: Graph, f: CutFunction) -> WidthResult:
     return _verified(graph, f, best, tree)
 
 
+def _check_balanced_n(n: int, n_cap: int) -> None:
+    """balanced_cut_lower_bound's check of n, run by the CLI as _check_exact_cap is."""
+    if n < 3:
+        raise ValueError("balanced cuts need n >= 3 (the size range is empty below)")
+    if n > n_cap:
+        raise CapExceeded(f"balanced enumeration needs n <= {n_cap}, got n = {n}")
+
+
 def balanced_cut_lower_bound(
     graph: Graph, f: CutFunction, n_cap: int = BALANCED_CAP
 ) -> tuple[float, Cut]:
@@ -566,26 +688,27 @@ def balanced_cut_lower_bound(
 
     Every decomposition tree contains an edge splitting the vertices into
     sides of size between ceil(n/3) and floor(n/2), so the minimum of f over
-    that range bounds the f-width of the graph from below.
+    that range bounds the f-width of the graph from below.  f is read from
+    its half table, audited as for exact_f_width.
     """
     n = graph.n
-    if n < 3:
-        raise ValueError("balanced cuts need n >= 3 (the size range is empty below)")
-    if n > n_cap:
-        raise CapExceeded(f"balanced enumeration needs n <= {n_cap}, got n = {n}")
-    ev = _bits_eval(graph, f)
-    _spot_check_symmetry(graph, f, ev)
-    best, bits = _balanced_min(ev, n)
+    _check_balanced_n(n, n_cap)
+    f_half = _half_table(graph, f)
+    _spot_check_symmetry(graph, f, _bits_eval(graph, f))
+    best, bits = _balanced_min(f_half)
     return best, Cut(bits, n)
 
 
-def _balanced_min(val: Callable[[int], float], n: int) -> tuple[float, int]:
-    """The minimum of val over balanced sides and the first side attaining it.
+def _balanced_min(f_half: list[float]) -> tuple[float, int]:
+    """The minimum of f over balanced sides and the first side attaining it.
 
-    Sides run by size ascending, then in `combinations` order; only a strict
-    improvement replaces the best.  val is a cut function or a cut table's
-    __getitem__.
+    f_half is f's half table, so a side s holding vertex n - 1 reads
+    f_half[full ^ s].  Sides run by size ascending, then in `combinations`
+    order; only a strict improvement replaces the best.
     """
+    half = len(f_half)
+    n = half.bit_length()
+    full = (half << 1) - 1
     best = math.inf
     best_bits = 0
     for size in range((n + 2) // 3, n // 2 + 1):
@@ -593,7 +716,7 @@ def _balanced_min(val: Callable[[int], float], n: int) -> tuple[float, int]:
             bits = 0
             for v in chosen:
                 bits |= 1 << v
-            value = val(bits)
+            value = f_half[bits] if bits < half else f_half[full ^ bits]
             if value < best:
                 best = value
                 best_bits = bits

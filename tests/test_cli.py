@@ -1,9 +1,10 @@
 import os
 import time
+import tracemalloc
 
 import pytest
 
-from widthlab import complete_graph, cycle_graph, emit_edge_list, emit_graph6, path_graph
+from widthlab import Graph, complete_graph, cycle_graph, emit_edge_list, emit_graph6, path_graph
 
 from conftest import run_cli
 
@@ -12,6 +13,13 @@ def write_graphs(tmp_path, graphs, name="in.g6"):
     path = tmp_path / name
     path.write_text("".join(emit_graph6(g) + "\n" for g in graphs))
     return str(path)
+
+
+# each command's cap message for an edge list whose vertex count is above --cap
+EDGE_LIST_CAPS = [
+    ("width", "exact width needs n <= 16"),
+    ("lb", "balanced enumeration needs n <= 22"),
+]
 
 
 class TestGen:
@@ -99,6 +107,35 @@ class TestWidth:
         result = run_cli(["width", "--input-format", "edges", "--input", str(path)])
         assert time.perf_counter() - start < 1.0
         assert result == (2, "", "0 error: exact width needs n <= 16, got n = 300000\n")
+
+    @pytest.mark.parametrize("command, message", EDGE_LIST_CAPS)
+    def test_edge_list_vertex_count_checked_before_the_graph(
+        self, tmp_path, monkeypatch, command, message
+    ):
+        built = []
+        from_edges = Graph.from_edges
+        monkeypatch.setattr(
+            Graph, "from_edges", classmethod(lambda cls, n, e: built.append(n) or from_edges(n, e))
+        )
+        path = tmp_path / "huge.txt"
+        path.write_text("300000\n")
+        result = run_cli([command, "--input-format", "edges", "--input", str(path)])
+        assert result == (2, "", f"0 error: {message}, got n = 300000\n")
+        assert built == []
+
+    @pytest.mark.parametrize("command, message", EDGE_LIST_CAPS)
+    def test_edge_list_of_a_billion_vertices_allocates_nothing(self, tmp_path, command, message):
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000000\n")
+        run_cli(["gen", "--n", "1", "--seed", "1"])  # the parser is built outside the trace
+        tracemalloc.start()
+        try:
+            result = run_cli([command, "--input-format", "edges", "--input", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (2, "", f"0 error: {message}, got n = 1000000000\n")
+        assert peak < 1 << 20
 
     def test_witness_check_round_trip(self, tmp_path):
         gpath = write_graphs(tmp_path, [cycle_graph(6)])

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -44,11 +46,13 @@ from widthlab import boolspace, widths
 from widthlab.boolspace import _cut_bool_count_bits
 from widthlab.graphs import _cut_rank_bits
 from widthlab.widths import (
-    _balanced_min,
+    _best_split,
     _bits_eval,
     _half_table,
     _leaf_rooted_width,
-    _mirrored,
+    _subset_dp,
+    _verified,
+    _witness_tree,
 )
 
 from conftest import run_cli
@@ -341,6 +345,37 @@ class TestSymmetryContract:
         with pytest.raises(ContractError, match=message):
             exact_f_width(g, f)
 
+    def test_balanced_bound_audits_every_pair(self):
+        # the bound reads the half table, so a user function is audited on
+        # every pair there, 0x11 included
+        def minside_but_one(graph, cut):
+            k = float(min(cut.size, graph.n - cut.size))
+            return k + 1.0 if cut.bits == 0x11 else k
+
+        f = CutFunction(name="skew", evaluate=minside_but_one)
+        message = r"'skew' is not symmetric at subset 0x11: 3\.0 vs 2\.0"
+        with pytest.raises(ContractError, match=message):
+            balanced_cut_lower_bound(sample_gnp_half(6, 1), f)
+
+    def test_the_pair_with_the_smallest_lower_side_is_reported(self):
+        # 0x25 holds vertex 5, so its pair is reported from the lower side
+        # 0x1a; with 0x11 skewed too, 0x11 is the pair reported
+        def skewed_at(*sides):
+            def f(graph, cut):
+                k = float(min(cut.size, graph.n - cut.size))
+                return k + 1.0 if cut.bits in sides else k
+
+            return CutFunction(name="skew", evaluate=f)
+
+        g = sample_gnp_half(6, 1)
+        for sides, message in (
+            ((0x25,), r"subset 0x1a: 3\.0 vs 4\.0"),
+            ((0x11, 0x25), r"subset 0x11: 3\.0 vs 2\.0"),
+        ):
+            for run in (exact_f_width, balanced_cut_lower_bound):
+                with pytest.raises(ContractError, match=message):
+                    run(g, skewed_at(*sides))
+
     def test_nonzero_on_the_empty_side_rejected_by_every_engine(self):
         f = CutFunction(name="one", evaluate=lambda g, c: 1.0)
         for run in _all_engines(sample_gnp_half(6, 1), f):
@@ -446,6 +481,11 @@ INT_MIN_SIDE = CutFunction(
     name="intminside",
     evaluate=lambda g, c: min(c.size, g.n - c.size),
 )
+# an int on the sides without vertex 0 and an equal float on those with it
+MIXED_MIN_SIDE = CutFunction(
+    name="mixedminside",
+    evaluate=lambda g, c: (float if c.bits & 1 else int)(min(c.size, g.n - c.size)),
+)
 
 
 class TestReferenceDPOracle:
@@ -488,6 +528,58 @@ class TestReferenceDPOracle:
         res = exact_f_width(sample_gnp_half(8, 12), INT_MIN_SIDE)
         assert type(res.value) is int
         assert res.value == 3
+
+
+def mirrored(low):
+    """The 2^n table of a half table: table[full ^ s] = low[s]."""
+    return low + low[::-1]
+
+
+def full_table_f_width(graph, f):
+    """exact_f_width by the DP over the mirrored 2^n table, the root side from
+    _best_split over all of it: the oracle for its value and witness text."""
+    n = graph.n
+    g = mirrored(_half_table(graph, f))
+    full = (1 << n) - 1
+    _subset_dp(g, full)
+    value, t = _best_split(g, full)
+    return _verified(graph, f, value, _witness_tree(lambda s: _best_split(g, s)[1], n, t))
+
+
+class TestFullTableOracle:
+    """exact_f_width decides the sets holding vertex n - 1 instead of running
+    the DP over them; value, value type, witness tree and witness cut must be
+    the full-table DP's."""
+
+    def assert_same(self, graph, f):
+        res, ref = exact_f_width(graph, f), full_table_f_width(graph, f)
+        assert repr(res.value) == repr(ref.value)
+        assert type(res.value) is type(ref.value)
+        assert emit_tree(res.witness_tree) == emit_tree(ref.witness_tree)
+        assert res.witness_tree.edges == ref.witness_tree.edges
+        assert res.witness_cut == ref.witness_cut
+
+    def test_random_graphs(self):
+        rng = SplitMix64(8686)
+        for n in range(2, 15):
+            for _ in range(4 if n <= 10 else 2 if n <= 12 else 1):
+                g = sample_gnp_half(n, rng.next_word())
+                for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                    self.assert_same(g, f)
+
+    def test_named_graphs(self):
+        for n in range(3, 13):
+            for g in _named_graphs(n) + [_star(n, n - 1), _star(n, 0)]:
+                for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                    self.assert_same(g, f)
+
+    def test_tie_heavy_custom_functions(self):
+        rng = SplitMix64(8787)
+        for n in range(2, 12):
+            for _ in range(3):
+                g = sample_gnp_half(n, rng.next_word())
+                for f in (HALF_MIN_SIDE, INT_MIN_SIDE, MIXED_MIN_SIDE):
+                    self.assert_same(g, f)
 
 
 class TestLeafRootedDP:
@@ -662,8 +754,8 @@ class TestHalfFilledCutTable:
     every subset."""
 
     def assert_table_is_per_subset(self, g):
-        rank = _mirrored(_half_table(g, CUT_RANK_FUNCTION))
-        boolean = _mirrored(_half_table(g, CUT_BOOL_FUNCTION))
+        rank = mirrored(_half_table(g, CUT_RANK_FUNCTION))
+        boolean = mirrored(_half_table(g, CUT_BOOL_FUNCTION))
         assert len(rank) == len(boolean) == 1 << g.n
         for bits in range(1 << g.n):
             cut = Cut(bits, g.n)
@@ -692,8 +784,8 @@ class TestHalfFilledCutTable:
                     return seen[bits]
 
                 copy = dataclasses.replace(f, bits_evaluate=counted)
-                table = _mirrored(_half_table(g, f))
-                assert _mirrored(_half_table(g, copy)) == table
+                table = mirrored(_half_table(g, f))
+                assert mirrored(_half_table(g, copy)) == table
                 # every subset evaluated, each to the mirrored built-in's value
                 assert seen == dict(enumerate(table))
                 res, ref = exact_f_width(g, copy), exact_f_width(g, f)
@@ -710,6 +802,22 @@ class TestHalfFilledCutTable:
         copy = dataclasses.replace(CUT_RANK_FUNCTION, bits_evaluate=skewed)
         with pytest.raises(ContractError, match="'rank' is not symmetric at subset 0x11"):
             exact_f_width(sample_gnp_half(6, 1), copy)
+
+    def test_copy_keeps_only_the_half(self):
+        # each cell is a list slot and a float of its own, 32 bytes; the
+        # upper half's values are dropped once audited, so the peak stays
+        # under 40 bytes a cell, where the 2^n values would need 64
+        n = 14
+        g = sample_gnp_half(n, 1)
+        copy = dataclasses.replace(CUT_RANK_FUNCTION)
+        tracemalloc.start()
+        try:
+            table = _half_table(g, copy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table == _half_table(g, CUT_RANK_FUNCTION)
+        assert peak < 40 << (n - 1)
 
     def test_own_exception_before_the_audit(self):
         # 0x20 is the upper half's first subset at n = 6, evaluated after the
@@ -759,16 +867,40 @@ class TestHalfFilledCutTable:
             exact_f_width(sample_gnp_half(8, 1), CUT_RANK_FUNCTION)
 
 
+def per_subset_balanced_min(graph, f):
+    """The minimum of f over balanced sides, f evaluated on each side by size
+    and then in `combinations` order, and the first side attaining it."""
+    n = graph.n
+    val = _bits_eval(graph, f)
+    best, best_bits = math.inf, 0
+    for size in range((n + 2) // 3, n // 2 + 1):
+        for chosen in combinations(range(n), size):
+            bits = sum(1 << v for v in chosen)
+            value = val(bits)
+            if value < best:
+                best, best_bits = value, bits
+    return best, best_bits
+
+
 class TestBalancedMinOnTheTable:
+    """balanced_cut_lower_bound reads f's half table; the kernel called on
+    each balanced side is its oracle."""
+
     def test_matches_the_public_bound(self):
+        # a G(n, 1/2) and the tie-heavy named graphs and stars at every n,
+        # except that bool's oracle skips the named graphs at n = 15 and 16,
+        # where its kernel calls alone take over 3 s
         rng = SplitMix64(8383)
-        for n in range(3, 15):
-            for g in [sample_gnp_half(n, rng.next_word())] + _named_graphs(n):
-                table = _mirrored(_half_table(g, CUT_RANK_FUNCTION))
-                value, bits = _balanced_min(table.__getitem__, n)
-                lb, cut = balanced_cut_lower_bound(g, CUT_RANK_FUNCTION)
-                assert repr(value) == repr(lb)
-                assert bits == cut.bits
+        for n in range(3, 17):
+            gnp = sample_gnp_half(n, rng.next_word())
+            named = _named_graphs(n) + [_star(n, n - 1), _star(n, 0)]
+            for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                skip = f is CUT_BOOL_FUNCTION and n > 14
+                for g in [gnp] + ([] if skip else named):
+                    value, bits = per_subset_balanced_min(g, f)
+                    lb, cut = balanced_cut_lower_bound(g, f)
+                    assert repr(lb) == repr(value), (n, f.name)
+                    assert cut.bits == bits, (n, f.name)
 
 
 class TestNoReferenceCycles:
