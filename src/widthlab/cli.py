@@ -12,7 +12,8 @@ import argparse
 import functools
 import os
 import sys
-from itertools import groupby
+from itertools import chain, groupby
+from typing import Iterator
 
 from ._version import __version__
 from .boolspace import bell, galois_number
@@ -22,13 +23,12 @@ from .graphs import Graph, emit_edge_list, emit_graph6, parse_graph6, _edge_list
 from .rng import SplitMix64
 from .experiments import (
     ExperimentConfig,
+    _SPECS,
     _bell_table,
-    boolw_vs_rw_experiment,
+    _run_experiment,
     envelope_curve,
-    lemma1_experiment,
     render_summary,
     render_table,
-    scaling_experiment,
     write_report,
     write_table,
 )
@@ -105,9 +105,13 @@ def _parse_graph(lineno: int, text: str, fmt: str, check_n=None) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _parse_n_list(spec: str) -> tuple[int, ...]:
-    """Parse '6,9,12' or '3..12' (inclusive), or a mix of both."""
-    out: list[int] = []
+def _parse_n_list(spec: str) -> Iterator[int]:
+    """Parse '6,9,12' or '3..12' (inclusive), or a mix of both, into a lazy stream of n.
+
+    Every token is parsed here; a range is expanded only as the command's
+    check of n reads it, so a range past a cap fails at its first bad n.
+    """
+    ranges = []
     for token in spec.split(","):
         token = token.strip()
         if not token:
@@ -119,10 +123,10 @@ def _parse_n_list(spec: str) -> tuple[int, ...]:
             raise ValueError(f"bad n list {spec!r}: {token!r} is not n or lo..hi") from None
         if not values:
             raise ValueError(f"bad n list {spec!r}: range {token!r} is empty")
-        out.extend(values)
-    if not out:
+        ranges.append(values)
+    if not ranges:
         raise ValueError(f"empty n list {spec!r}")
-    return tuple(out)
+    return chain.from_iterable(ranges)
 
 
 def _cmd_gen(args, parser) -> int:
@@ -178,12 +182,6 @@ def _cmd_check(args, parser) -> int:
     return 0
 
 
-_EXPERIMENTS = {
-    "lemma1": lemma1_experiment,
-    "scaling": scaling_experiment,
-    "boolw-rw": boolw_vs_rw_experiment,
-}
-
 # table name -> (n list -> Table, per-column float formats for stdout)
 _TABLES = {
     "bell": (_bell_table, None),
@@ -202,16 +200,17 @@ def _cmd_exp(args, parser) -> int:
         return 0
 
     seed = _resolve_seed(args, parser)
+    spec = _SPECS[args.experiment]
     cfg = ExperimentConfig(
         name=args.experiment,
-        n_values=n_values,
+        n_values=spec.check_n_values(n_values, args.width_cap),
         trials=args.trials,
         master_seed=seed,
         mode=args.mode,
         width_cap=args.width_cap,
         work_cap=args.work_cap,
     )
-    report = _EXPERIMENTS[args.experiment](cfg, jobs=args.jobs)
+    report = _run_experiment(spec, cfg, args.jobs)
     out = args.out or f"{args.experiment}-{seed}.{args.format}"
     write_report(report, args.format, out)
     sys.stdout.write(render_summary(report))
@@ -276,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(run=_cmd_check)
 
     p_exp = sub.add_parser("exp", help="run a seeded experiment, write a report")
-    p_exp.add_argument("experiment", choices=(*_EXPERIMENTS, *_TABLES))
+    p_exp.add_argument("experiment", choices=(*_SPECS, *_TABLES))
     p_exp.add_argument("--seed", type=int, help="master seed (or WIDTHLAB_SEED)")
     p_exp.add_argument("--n-list", required=True, help="e.g. 6,9,12 or 3..12")
     p_exp.add_argument("--trials", type=int, default=10)

@@ -17,7 +17,7 @@ import math
 import statistics
 import sys
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from ._version import __version__
 from .boolspace import BELL_CAP, _cut_bool_count_bits, bell, galois_number, log2_int
@@ -73,18 +73,31 @@ class Table:
 
 
 def _check_n_values(
-    n_values: tuple[int, ...], name: str, low: int, high: float = math.inf
-) -> None:
-    """Reject the first n, in list order, outside low..high or listed before it."""
-    seen = set()
+    n_values: Iterable[int],
+    name: str,
+    low: int,
+    high: float = math.inf,
+    width_cap: float = math.inf,
+) -> tuple[int, ...]:
+    """n_values as a tuple, once no n is outside low..high, above width_cap or listed before.
+
+    The first such n in list order is reported.  n_values is read one n at a
+    time, so a lazy list stops at its first bad n without being expanded.
+    """
+    seen: set[int] = set()
+    out = []
     for n in n_values:
         if n < low:
             raise ValueError(f"n = {n} below the minimum {low} for {name}")
         if n > high:
             raise ValueError(f"n = {n} above the maximum {high} for {name}")
+        if n > width_cap:
+            raise CapExceeded(f"n = {n} above the exact width cap {width_cap}")
         if n in seen:
             raise ValueError(f"n = {n} appears more than once in the n list")
         seen.add(n)
+        out.append(n)
+    return tuple(out)
 
 
 def _spread(key: str, values: list) -> dict:
@@ -112,6 +125,11 @@ class _Spec:
     summarize: Callable[[int, list[dict]], dict]
     min_n: int
     width_capped: bool
+
+    def check_n_values(self, n_values: Iterable[int], width_cap: int) -> tuple[int, ...]:
+        """n_values checked against min_n, and width_cap if capped, by _check_n_values."""
+        cap = width_cap if self.width_capped else math.inf
+        return _check_n_values(n_values, self.name, self.min_n, width_cap=cap)
 
 
 def _call_trial(args) -> dict:
@@ -150,11 +168,7 @@ def _run_experiment(spec: _Spec, cfg: ExperimentConfig, jobs: int) -> Experiment
         raise ValueError("config must request at least one trial")
     if cfg.mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {cfg.mode!r}")
-    _check_n_values(cfg.n_values, cfg.name, spec.min_n)
-    if spec.width_capped:
-        for n in cfg.n_values:
-            if n > cfg.width_cap:
-                raise CapExceeded(f"n = {n} above the exact width cap {cfg.width_cap}")
+    spec.check_n_values(cfg.n_values, cfg.width_cap)
     records = _run_trials(cfg, spec.trial, jobs)
     summaries = []
     for n in cfg.n_values:
@@ -283,6 +297,9 @@ def _boolw_rw_summary(n: int, rows: list[dict]) -> dict:
 
 _BOOLW_RW = _Spec("boolw-rw", _boolw_rw_trial, _boolw_rw_summary, min_n=1, width_capped=True)
 
+# name -> spec, for the CLI, which checks an n list as it expands it
+_SPECS = {spec.name: spec for spec in (_LEMMA1, _SCALING, _BOOLW_RW)}
+
 
 def boolw_vs_rw_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Audit of the per-cut subspace bound linking boolean counts to rank.
@@ -304,8 +321,7 @@ def envelope_curve(n_values) -> Table:
     The log2 column is the closed form 3n*log2(3) - n^2; the value column is
     the exact rational rounded to the nearest float (0.0 once it underflows).
     """
-    n_values = tuple(n_values)
-    _check_n_values(n_values, "envelope", 0, BELL_CAP)
+    n_values = _check_n_values(n_values, "envelope", 0, BELL_CAP)
     # int / int is correctly rounded
     rows = tuple((n, 3 * n * math.log2(3) - n * n, 3 ** (3 * n) / 2 ** (n * n)) for n in n_values)
     return Table(columns=("n", "log2_envelope", "envelope"), rows=rows)
@@ -324,8 +340,7 @@ def bell_asymptotic_check(n_max: int) -> Table:
 
 def _bell_table(n_values) -> Table:
     """bell_asymptotic_check's rows for the listed n, in list order."""
-    n_values = tuple(n_values)
-    _check_n_values(n_values, "bell", 3, BELL_CAP)
+    n_values = _check_n_values(n_values, "bell", 3, BELL_CAP)
     rows = []
     for n in n_values:
         log2_bell = log2_int(bell(n))

@@ -61,9 +61,11 @@ checks both, in one of two ways:
 - The built-in cut-rank and boolean cut functions (CUT_RANK_FUNCTION and
   CUT_BOOL_FUNCTION, recognised by identity) are symmetric by theorem: a
   matrix and its transpose have the same GF(2) rank, and a 0/1 matrix has
-  as many distinct row unions as column unions.  Their half is filled by
-  one walk over its subsets, each cell built from its parent subset's state
-  in one step (_rank_step, _bool_step), with no per-subset kernel call.
+  as many distinct row unions as column unions.  Their half is filled with
+  no per-subset kernel call.  Cut-rank is one GF(2) elimination run on
+  2^14 subsets at once, bit-sliced: each subset is one bit of every big int
+  (_rank_half_table).  The boolean function is one walk over the subsets,
+  each cell's row unions built from its parent subset's (_half_table).
   They are audited on a seeded sample of subsets, once per call: when
   tree_width_under re-checks the witness, or after the lower bound's fill.
   tree_width_under and brute_force_f_width run that audit for every f.
@@ -281,12 +283,12 @@ def _spot_check_symmetry(graph: Graph, f: CutFunction, ev: Callable[[int], float
 def _half_table(graph: Graph, f: CutFunction) -> list[float]:
     """f on the 2^(n-1) subsets without vertex n - 1, audited as the module docstring says.
 
-    The built-ins' walk visits each such subset Y once, as X + {v} with v
-    above X's top vertex, and builds Y's state from X's by one step; its
-    table holds one float object per distinct value.
+    The built-ins' tables hold one float object per distinct value.
     """
     n = graph.n
-    if f is not CUT_RANK_FUNCTION and f is not CUT_BOOL_FUNCTION:
+    if f is CUT_RANK_FUNCTION:
+        return _rank_half_table(graph)
+    if f is not CUT_BOOL_FUNCTION:
         val = _bits_eval(graph, f)
         half, full = 1 << (n - 1), (1 << n) - 1
         table = list(map(val, range(half)))
@@ -302,64 +304,113 @@ def _half_table(graph: Graph, f: CutFunction) -> list[float]:
             raise _asymmetry(f, bad[0], table[bad[0]], bad[1])
         _audit_symmetry(f, table.__getitem__, n, ())  # f(empty) only
         return table
+    # The walk visits each subset Y once, as X + {v} with v above X's top
+    # vertex, and builds Y's row unions from X's, both on m = V \ Y: each
+    # union u of X's rows gives u & m and (u | A[v]) & m.  There are at most
+    # 2^min(|Y|, n - |Y|), far below DEFAULT_SPACE_CAP at any n whose table
+    # fits in memory.  A count is at least 1; values[0] is never read.
+    values = [0.0] + [math.log2(c) for c in range(1, (1 << n // 2) + 1)]
     table = [0.0] * (1 << (n - 1))
-    if f is CUT_RANK_FUNCTION:
-        step, state = _rank_step, ([0] * n, 0)
-        values = [float(r) for r in range(n // 2 + 1)]
-    else:
-        step, state = _bool_step, {0}
-        # a count is at least 1; index 0 is never read
-        values = [0.0] + [math.log2(c) for c in range(1, (1 << n // 2) + 1)]
     adj, full, last = graph._adj, (1 << n) - 1, n - 1
-    # (X, X's state, the next vertex to add to X); a stack, not recursion,
+    # (X, X's unions, the next vertex to add to X); a stack, not recursion,
     # so it holds at most n entries and no reference cycle
-    stack = [(0, state, 0)] if last else []
+    stack = [(0, {0}, 0)] if last else []
     while stack:
-        x, state, v = stack.pop()
+        x, unions, v = stack.pop()
         more = v + 1 < last
         if more:
-            stack.append((x, state, v + 1))
+            stack.append((x, unions, v + 1))
         y = x | 1 << v
-        state, k = step(adj, state, v, full ^ y)
-        table[y] = values[k]
+        m = full ^ y
+        a = adj[v] & m
+        unions = {u & m for u in unions}
+        unions |= {u | a for u in unions}
+        table[y] = values[len(unions)]
         if more:
-            stack.append((y, state, v + 1))
+            stack.append((y, unions, v + 1))
     return table
 
 
-def _rank_step(adj: tuple[int, ...], state: tuple, v: int, m: int) -> tuple[tuple, int]:
-    """X's (basis by top bit, cut-rank) to Y's, for Y = X + {v}; also Y's cut-rank.
+# 2^14 lanes a chunk: a matrix entry is a 2 KB int, so a chunk's n^2 entries
+# take less than the half table's 8 bytes a cell from n = 18 up
+_LANE_BITS = 14
+# byte b -> 8 bytes, byte t holding bit t of b
+_SPREAD = [bytes(b >> t & 1 for t in range(8)) for b in range(256)]
 
-    Y's basis spans A[w] and e_w for w in Y, and cutrk(Y) is its dimension
-    minus |Y|: the e_w span Y's own columns, and the quotient by them is the
-    row space of A[Y, V \\ Y].  m is unused.
+
+def _rank_half_table(graph: Graph) -> list[float]:
+    """Cut-rank on the 2^(n-1) subsets without vertex n - 1, 2^m of them at once.
+
+    Chunk c, with m = min(n - 1, _LANE_BITS), fixes the vertices m..n-2 to
+    the bits of c.  Bit y of each of its big ints, lane y, stands for the
+    subset c * 2^m + y, so one big-int operation acts on all 2^m subsets
+    of the chunk (_lane_ranks).
     """
-    basis, r = state
-    basis = basis[:]
-    r -= 1
-    for x in (1 << v, adj[v]):
-        while x:
-            top = x.bit_length() - 1
-            p = basis[top]
-            if not p:
-                basis[top] = x
-                r += 1
-                break
-            x ^= p
-    return (basis, r), r
+    n = graph.n
+    values = [float(r) for r in range(n // 2 + 1)]
+    last = n - 1
+    m = min(last, _LANE_BITS)
+    lanes = 1 << m
+    ones = (1 << lanes) - 1
+    # vertex i < m is in Y in the lanes whose bit i is set: period 2^(i+1),
+    # the upper 2^i lanes of each period
+    patterns = [
+        ones // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1 << (1 << i)) for i in range(m)
+    ]
+    table = [0.0] * (1 << last)
+    for c in range(1 << (last - m)):
+        inside = patterns + [ones if c >> t & 1 else 0 for t in range(last - m)] + [0]
+        ranks = _lane_ranks(graph._adj, inside, ones)
+        table[c << m : (c + 1) << m] = map(values.__getitem__, ranks[:lanes])
+    return table
 
 
-def _bool_step(adj: tuple[int, ...], state: set[int], v: int, m: int) -> tuple[set[int], int]:
-    """X's row unions to Y's, both on m = V \\ Y, for Y = X + {v}; also their count.
+def _lane_ranks(adj: tuple[int, ...], inside: list[int], ones: int) -> bytes:
+    """The GF(2) rank of A[Y, V \\ Y] in each lane Y, one byte a lane.
 
-    Each union u of X's rows gives u & m and (u | A[v]) & m.  There are at
-    most 2^min(|Y|, n - |Y|), far below DEFAULT_SPACE_CAP at any n whose
-    table fits in memory.
+    inside[i] holds the lanes with i in Y, so entry (i, j) is inside[i] &
+    ~inside[j] where A has edge ij, else 0.  Forward elimination runs column
+    by column: each lane takes its first unused row with a 1 in column j as
+    pivot and clears column j from its other unused rows, about n^3 big-int
+    operations in all.  A lane's pivots are its rank, at most n // 2, summed
+    in bit planes.
     """
-    unions = {u & m for u in state}
-    a = adj[v] & m
-    unions |= {u | a for u in unions}
-    return unions, len(unions)
+    n = len(adj)
+    width = (n // 2).bit_length()
+    outside = [ones ^ x for x in inside]
+    rows = [[x & outside[j] if a >> j & 1 else 0 for j in range(n)] for x, a in zip(inside, adj)]
+    unused = inside[:]  # row i is 0 in the lanes without i, so those never pick it
+    planes = [0] * width
+    for j in range(n):
+        free = ones  # the lanes with no pivot in column j yet
+        pivots = []
+        for i, row in enumerate(rows):
+            sel = row[j] & unused[i] & free
+            if sel:
+                free ^= sel
+                unused[i] ^= sel
+                pivots.append((sel, row))
+        hits = [(row, h) for row, u in zip(rows, unused) if (h := row[j] & u)]
+        for row in rows:
+            row[j] = 0  # column j is never read again
+        carry = ones ^ free
+        for p in range(width):
+            planes[p], carry = planes[p] ^ carry, planes[p] & carry
+        if hits:
+            for k in range(j + 1, n):
+                # each lane's pivot row, in column k
+                pk = 0
+                for sel, row in pivots:
+                    pk |= sel & row[k]
+                if pk:
+                    for row, h in hits:
+                        row[k] ^= h & pk
+    size = max(ones.bit_length() >> 3, 1)
+    total = 0
+    for p, plane in enumerate(planes):
+        spread = b"".join(map(_SPREAD.__getitem__, plane.to_bytes(size, "little")))
+        total |= int.from_bytes(spread, "little") << p
+    return total.to_bytes(size << 3, "little")
 
 
 def tree_width_under(graph: Graph, tree: DecompositionTree, f: CutFunction) -> WidthResult:

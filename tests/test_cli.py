@@ -326,6 +326,37 @@ class TestUsageErrors:
         assert time.perf_counter() - start < 1.0
         assert (code, err) == (1, "error: n = 17 above the exact width cap 16\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["exp", "scaling", "--seed", "1", "--trials", "1", "--n-list", "3..1000000000"],
+             "n = 17 above the exact width cap 16"),
+            (["exp", "boolw-rw", "--seed", "1", "--width-cap", "9", "--n-list", "1..1000000000"],
+             "n = 10 above the exact width cap 9"),
+            (["exp", "bell", "--n-list", "3..1000000000"], "n = 501 above the maximum 500 for bell"),
+            (["exp", "envelope", "--n-list", "7,0..1000000000"],
+             "n = 7 appears more than once in the n list"),
+        ],
+    )
+    def test_n_list_checked_before_it_is_expanded(self, argv, message):
+        # Expanded first, a range to 10^9 would need about 90 GB, so the same
+        # command with the range cut at 2*10^6 (about 75 MB if expanded)
+        # must pass the bounds first.
+        run_cli(["gen", "--n", "1", "--seed", "1"])  # the parser is built outside the trace
+        for top in ("2000000", "1000000000"):
+            cut = [a.replace("1000000000", top) for a in argv]
+            tracemalloc.start()
+            try:
+                start = time.perf_counter()
+                result = run_cli(cut)
+                elapsed = time.perf_counter() - start
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result == (1, "", f"error: {message}\n")
+            assert elapsed < 1.0
+            assert peak < 1 << 20
+
     def test_bad_n_list_is_named(self):
         _, _, err = run_cli(["exp", "envelope", "--n-list", "3,abc"])
         assert "'3,abc'" in err and "'abc'" in err

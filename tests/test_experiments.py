@@ -7,6 +7,7 @@ import pytest
 
 from widthlab import (
     CUT_RANK_FUNCTION,
+    CapExceeded,
     ExperimentConfig,
     balanced_cut_lower_bound,
     bell,
@@ -67,6 +68,11 @@ class TestConfigValidation:
             lemma1_experiment(small_cfg("lemma1", n_values=(4, 4, 2)))
         with pytest.raises(ValueError, match="n = 2 below the minimum 3 for lemma1"):
             lemma1_experiment(small_cfg("lemma1", n_values=(4, 2, 4)))
+        # the width cap is checked in the same pass
+        with pytest.raises(CapExceeded, match="n = 17 above the exact width cap 16"):
+            scaling_experiment(small_cfg("scaling", n_values=(4, 17, 2)))
+        with pytest.raises(ValueError, match="n = 2 below the minimum 3 for scaling"):
+            scaling_experiment(small_cfg("scaling", n_values=(4, 2, 17)))
 
     @pytest.mark.parametrize(
         "run, name, other",

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -713,8 +714,10 @@ def _star(n, centre):
 
 
 class TestIncrementalHalfFill:
-    """_half_table builds each cell from its parent subset's state; the
-    per-subset kernels, evaluated on the cell's own side, are its oracle."""
+    """_half_table fills cut-rank by bit-sliced elimination, a chunk of
+    subsets at a time, and builds each boolean cell from its parent subset's
+    state; the per-subset kernels, evaluated on the cell's own side, are its
+    oracle."""
 
     def assert_cells_are_per_subset(self, g):
         n = g.n
@@ -746,6 +749,28 @@ class TestIncrementalHalfFill:
         for n in range(2, 13):
             for centre in (n - 1, 0):
                 self.assert_cells_are_per_subset(_star(n, centre))
+
+    def test_rank_across_chunks(self):
+        # n = 15 is one full chunk of 2^14 lanes; n = 16, 17 and 18 are 2, 4
+        # and 8 chunks, one for each setting of the vertices 14..n-2
+        rng = SplitMix64(8585)
+        for n in (15, 16, 17, 18):
+            gnp = sample_gnp_half(n, rng.next_word())
+            for g in (gnp, empty_graph(n), complete_graph(n), _star(n, 0), _star(n, n - 1)):
+                table = _half_table(g, CUT_RANK_FUNCTION)
+                assert table == [float(cut_rank(g, Cut(b, n))) for b in range(1 << (n - 1))], n
+                # one float object per distinct value
+                assert {type(v) for v in table} == {float}
+                assert len(set(map(id, table))) == len(set(table))
+
+    def test_rank_sample_at_the_balanced_cap(self):
+        n = 22
+        g = sample_gnp_half(n, 8686)
+        table = _half_table(g, CUT_RANK_FUNCTION)
+        assert len(table) == 1 << (n - 1)
+        rng = SplitMix64(8787)
+        for bits in (rng.next_bits(n - 1) for _ in range(2000)):
+            assert table[bits] == float(cut_rank(g, Cut(bits, n))), bits
 
 
 class TestHalfFilledCutTable:
@@ -818,6 +843,19 @@ class TestHalfFilledCutTable:
             tracemalloc.stop()
         assert table == _half_table(g, CUT_RANK_FUNCTION)
         assert peak < 40 << (n - 1)
+
+    def test_rank_fill_keeps_its_scratch_small(self):
+        # the elimination works on 2^14 subsets at a time, so its scratch
+        # stays below the output list's 8 bytes a cell
+        n = 18
+        g = sample_gnp_half(n, 1)
+        tracemalloc.start()
+        try:
+            table = _half_table(g, CUT_RANK_FUNCTION)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sys.getsizeof(table)
 
     def test_own_exception_before_the_audit(self):
         # 0x20 is the upper half's first subset at n = 6, evaluated after the

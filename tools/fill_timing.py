@@ -2,14 +2,17 @@
 
 For G(n, 1/2) at n = 14 and 16 (seed 1), times widths._half_table for the
 two built-in cut functions, which fill the 2^(n-1) subsets without vertex
-n - 1 by one walk, each cell built from its parent subset's state; and for
-a dataclasses.replace copy of each, which calls the per-subset kernel on
-all 2^n subsets and audits every pair.  For each built-in it times the
-split loop alone (widths._subset_dp on a fresh copy of a filled half
-table), as every engine runs it.  At n = 10, 14 and 16 it times
-exact_f_width and balanced_cut_lower_bound end to end for each built-in.
-Each figure is the median of REPEATS wall times, the calls of one row
-alternating.  Prints one JSON object.
+n - 1 with no per-subset kernel call: cut-rank by a bit-sliced GF(2)
+elimination over 2^14 of them at a time, the boolean cut function by one walk,
+each cell built from its parent subset's state.  It times the same for a
+dataclasses.replace copy of each, which calls the per-subset kernel on all
+2^n subsets and audits every pair.  At n = 18 and 22 it times the built-in
+cut-rank fill alone (the boolean walk takes half a minute at n = 22).  For
+each built-in it times the split loop alone (widths._subset_dp on a fresh
+copy of a filled half table), as every engine runs it.  At n = 10, 14 and
+16 it times exact_f_width and balanced_cut_lower_bound end to end for each
+built-in.  Each figure is the median of REPEATS wall times, the calls of one
+row alternating.  Prints one JSON object.
 
     PYTHONPATH=src python3 tools/fill_timing.py
 """
@@ -58,6 +61,10 @@ def main() -> None:
                 [lambda: exact_f_width(g, f), lambda: balanced_cut_lower_bound(g, f)]
             )
             rows.append({"layer": f"engines.{f.name}", "n": n, "width_s": width, "lb_s": bound})
+    for n in (18, 22):
+        g = sample_gnp_half(n, 1)
+        (half,) = _median_s([lambda: _half_table(g, CUT_RANK_FUNCTION)])
+        rows.append({"layer": "half_table.rank", "n": n, "half_s": half})
     print(json.dumps({"python": platform.python_version(), "repeats": REPEATS, "rows": rows}))
 
 
