@@ -31,12 +31,31 @@ tree's own n - 1 splits (the root and the n - 2 internal nodes).  Ties
 between optimal splits resolve to the numerically smallest side, so the
 witness is deterministic.
 
+Nearly all sides the DP visits belong to its few wide sets, those of at
+least _WIDE = 10 vertices (2^9 - 1 sides or more), and most of those never
+stop early, because c(S) > f(S).  So _subset_dp scans the narrower sets
+first and then decides each wide set for all its sides at once, in big-int
+bitsets (_wide_dp), unless the first _PRESCAN = 32 sides of its scan stop
+it.  For a distinct table value k, bit T of B_k is set iff g[T] <= k.
+Reversed over the table's bits, B_k turns the other side S \\ T into a
+shift, so B_k, its reversal shifted and a mask of S's sides give, in two
+ANDs, every side T with g[T] <= k and g[S \\ T] <= k.  A binary search over
+the distinct values finds the least such k, which is c(S).  The lowest side
+that passes at c(S) is the first side of the ascending scan to reach c(S),
+where the scan's strictly improving best settles, so g[S] is set to the
+scan's very object, the larger of g[T] and g[S \\ T] (g[T] on a tie).
+The bitsets are built once per value, when first asked for, from a one-byte
+number per cell (an int past 256 distinct values), and a set whose g rises
+clears its bit in the bitsets it no longer passes.  The DP runs on n - 1
+vertices, so only graphs from n = 11 up have wide sets; at n = 14 they are
+378 of the 8,192 sets.
+
 Every cut function is tabulated once, by _half_table, on the 2^(n-1)
 subsets without vertex n - 1: exactly the indices below 2^(n-1), so this is
 the lower half of the 2^n table.  The upper half is never built: f of a set
 u holding n - 1 is f_half[full ^ u].  Every tree has the leaf edge
 {v} | V \\ {v} for v = n - 1, so the width w is g[V \\ {v}], and the DP
-runs on the lower half alone (_subset_dp up to 2^(n-1)).  The scaling and
+runs on the lower half alone (_subset_dp on the half table).  The scaling and
 boolw-rw experiment trials stop there (_leaf_rooted_width): their witness
 is rooted at that leaf edge, and those reports hold no tree text.
 
@@ -352,17 +371,22 @@ def _rank_half_table(graph: Graph) -> list[float]:
     m = min(last, _LANE_BITS)
     lanes = 1 << m
     ones = (1 << lanes) - 1
-    # vertex i < m is in Y in the lanes whose bit i is set: period 2^(i+1),
-    # the upper 2^i lanes of each period
-    patterns = [
-        ones // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1 << (1 << i)) for i in range(m)
-    ]
+    patterns = _bit_patterns(m)  # vertex i < m is in Y in the lanes whose bit i is set
     table = [0.0] * (1 << last)
     for c in range(1 << (last - m)):
         inside = patterns + [ones if c >> t & 1 else 0 for t in range(last - m)] + [0]
         ranks = _lane_ranks(graph._adj, inside, ones)
         table[c << m : (c + 1) << m] = map(values.__getitem__, ranks[:lanes])
     return table
+
+
+def _bit_patterns(m: int) -> list[int]:
+    """For i < m, the int over 2^m bits whose bit y is set iff bit i of y is.
+
+    Bit i of y repeats with period 2^(i+1), set in the upper 2^i of each.
+    """
+    ones = (1 << (1 << m)) - 1
+    return [ones // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1 << (1 << i)) for i in range(m)]
 
 
 def _lane_ranks(adj: tuple[int, ...], inside: list[int], ones: int) -> bytes:
@@ -472,7 +496,7 @@ def exact_f_width(
     f_half = _half_table(graph, f)
     low = f_half[:]
     half = len(low)
-    _subset_dp(low, half)
+    _subset_dp(low)
     w = low[half - 1]
     memo: dict = {}  # k -> {u: the first side of u passing at k, or 0}
     values = sorted({v for v in f_half if v <= w})
@@ -566,19 +590,120 @@ def _leaf_rooted_width(graph: Graph, f: CutFunction, low: list[float]) -> WidthR
     if n <= 1:
         return WidthResult(0.0, _trivial_tree(n), Cut(0, n))
     rest = (1 << (n - 1)) - 1
-    _subset_dp(low, rest + 1)
+    _subset_dp(low)
     tree = _witness_tree(lambda s: _best_split(low, s)[1], n, rest)
     return _verified(graph, f, low[rest], tree)
 
 
-def _subset_dp(g: list[float], bound: int) -> None:
-    """The DP below bound: g[S] = f(S) becomes max(f(S), c(S)) for 2 < S < bound."""
-    for s in range(3, bound):
-        if s & (s - 1):
+def _subset_dp(g: list[float]) -> None:
+    """The DP over the whole table: g[S] = f(S) becomes max(f(S), c(S)) for every S.
+
+    len(g) is a power of two.  The sets below _WIDE vertices are scanned
+    first, then the wide ones (_wide_dp), each in ascending order, so every
+    subset of a set is final before the set is.
+    """
+    wide = []
+    for s in range(3, len(g)):
+        if s.bit_count() >= _WIDE:
+            wide.append(s)
+        elif s & (s - 1):
             fs = g[s]
             best = _best_split(g, s, fs)[0]
             if best > fs:
                 g[s] = best
+    if wide:
+        _wide_dp(g, wide)
+
+
+# a set of at least _WIDE vertices is decided by threshold bitsets unless the
+# first _PRESCAN sides of its scan stop it; it has 2^(_WIDE - 1) - 1 sides or
+# more, and _PRESCAN may not exceed that
+_WIDE = 10
+_PRESCAN = 32
+# byte b -> b with its 8 bits in reverse order
+_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _wide_dp(g: list[float], wide: list[int]) -> None:
+    """The DP's wide sets, in ascending order, decided by threshold bitsets.
+
+    The distinct values of g are numbered in order, and code[i] is g[i]'s
+    number.  For a number k, bit i of B_k is set iff code[i] <= k, and R_k
+    is B_k reversed over the len(g) bits: bit full ^ i of R_k is bit i of
+    B_k.  For a set S with C = full ^ S and a side T of S, bit T of
+    R_k >> C is bit full ^ (T | C) = S ^ T of B_k, so the sides passing at
+    k, g[T] <= k and g[S ^ T] <= k, are the bits of B_k & (R_k >> C) & M_S,
+    M_S holding the non-empty subsets of S without its top vertex.  c(S) is
+    the least k at which a side passes; the lowest such side is the one
+    the ascending scan keeps, so g[S] is the scan's object.
+    """
+    size = len(g)
+    full = size - 1
+    ones = (1 << size) - 1
+    # without[v]: bit T set iff T does not hold vertex v
+    without = [ones ^ p for p in _bit_patterns(full.bit_length())]
+    values = sorted(set(g))
+    number = {v: k for k, v in enumerate(values)}
+    small = len(values) <= 256
+    code = (bytearray if small else list)(map(number.__getitem__, g))
+    cache: dict = {}  # k -> [B_k, R_k], kept current as g rises
+
+    def passing(k: int, m: int, c: int) -> int:
+        bits = cache.get(k)
+        if bits is None:
+            if small:
+                cells = code.translate(bytes(map(k.__ge__, range(256))))
+            else:
+                cells = bytes(map(k.__ge__, code))
+            b = 0
+            for j in range(8):
+                b |= int.from_bytes(cells[j::8], "little") << j
+            r = b.to_bytes(size >> 3, "little")[::-1].translate(_REVERSE)
+            bits = cache[k] = [b, int.from_bytes(r, "little")]
+        return bits[0] & m & (bits[1] >> c)
+
+    for s in wide:
+        fs = g[s]
+        rest = s ^ (1 << (s.bit_length() - 1))
+        # the scan's first _PRESCAN sides, as _best_split takes them
+        best = math.inf
+        t = 0
+        for _ in range(_PRESCAN):
+            t = (t - rest) & rest
+            a = g[t]
+            if a < best:
+                b = g[s ^ t]
+                if b < best:
+                    best = a if a >= b else b
+                    if best <= fs:
+                        break
+        if best <= fs:
+            continue
+        c = full ^ s
+        m = ones ^ 1
+        for v, clear in enumerate(without):
+            if not rest >> v & 1:
+                m &= clear
+        # the least k with a passing side, between f(S) and the scan's best
+        lo = low = number[fs]
+        hi = number[best]
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if passing(mid, m, c):
+                hi = mid
+            else:
+                lo = mid + 1
+        if hi == low:
+            continue
+        p = passing(hi, m, c)
+        t = (p & -p).bit_length() - 1
+        a, b = g[t], g[s ^ t]
+        g[s] = a if a >= b else b
+        code[s] = hi
+        for k, bits in cache.items():
+            if low <= k < hi:
+                bits[0] ^= 1 << s
+                bits[1] ^= 1 << c
 
 
 def _best_split(g: list[float], s: int, stop: float = -math.inf) -> tuple[float, int]:
@@ -760,13 +885,11 @@ def _balanced_min(f_half: list[float]) -> tuple[float, int]:
     half = len(f_half)
     n = half.bit_length()
     full = (half << 1) - 1
+    vertex_bits = [1 << v for v in range(n)]
     best = math.inf
     best_bits = 0
     for size in range((n + 2) // 3, n // 2 + 1):
-        for chosen in combinations(range(n), size):
-            bits = 0
-            for v in chosen:
-                bits |= 1 << v
+        for bits in map(sum, combinations(vertex_bits, size)):
             value = f_half[bits] if bits < half else f_half[full ^ bits]
             if value < best:
                 best = value

@@ -536,15 +536,90 @@ def mirrored(low):
     return low + low[::-1]
 
 
+def scan_subset_dp(g, bound):
+    """The DP below bound by the ascending scan alone: g[S] = f(S) becomes
+    max(f(S), c(S)) for 2 < S < bound.  The oracle of _subset_dp, which
+    decides its wide sets by threshold bitsets instead."""
+    for s in range(3, bound):
+        if s & (s - 1):
+            fs = g[s]
+            best = _best_split(g, s, fs)[0]
+            if best > fs:
+                g[s] = best
+
+
 def full_table_f_width(graph, f):
-    """exact_f_width by the DP over the mirrored 2^n table, the root side from
-    _best_split over all of it: the oracle for its value and witness text."""
+    """exact_f_width by the scan DP over the mirrored 2^n table, the root side
+    from _best_split over all of it: the oracle for its value and witness text."""
     n = graph.n
     g = mirrored(_half_table(graph, f))
     full = (1 << n) - 1
-    _subset_dp(g, full)
+    scan_subset_dp(g, full)
     value, t = _best_split(g, full)
     return _verified(graph, f, value, _witness_tree(lambda s: _best_split(g, s)[1], n, t))
+
+
+# X * (V \ X) as packed ints: symmetric, 0 on the empty side, and one distinct
+# int per complementary pair, far more values than a byte can number
+SPREAD_VALUES = CutFunction(
+    name="spread",
+    evaluate=lambda g, c: c.bits * (((1 << g.n) - 1) ^ c.bits),
+)
+
+
+class TestWideSetsByBitsets:
+    """_subset_dp decides the sets of at least widths._WIDE vertices by
+    threshold bitsets; every cell must hold the very object that the scan
+    DP leaves there.  A per-subset function gives each cell its own object,
+    so the object pins the side that the value came from."""
+
+    def assert_same(self, low):
+        got, ref = list(low), list(low)
+        _subset_dp(got)
+        scan_subset_dp(ref, len(ref))
+        assert all(a is b for a, b in zip(got, ref))
+
+    def test_random_graphs(self):
+        rng = SplitMix64(1919)
+        for n in range(10, 17):
+            g = sample_gnp_half(n, rng.next_word())
+            for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                self.assert_same(_half_table(g, f))
+                if n <= 13:
+                    self.assert_same(_half_table(g, dataclasses.replace(f)))
+
+    def test_named_graphs(self):
+        for n in (11, 13, 14):
+            for g in (empty_graph(n), complete_graph(n), _star(n, 0), _star(n, n - 1)):
+                for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                    self.assert_same(_half_table(g, f))
+
+    def test_equal_values_of_two_types(self):
+        rng = SplitMix64(2020)
+        for n in (11, 12, 13):
+            low = _half_table(sample_gnp_half(n, rng.next_word()), MIXED_MIN_SIDE)
+            self.assert_same(low)
+
+    def test_more_than_a_byte_of_values(self):
+        for n in (11, 12, 13):
+            low = _half_table(empty_graph(n), SPREAD_VALUES)
+            assert len(set(low)) > 256
+            self.assert_same(low)
+
+    @pytest.mark.parametrize("wide, prescan", [(3, 1), (3, 3), (5, 15), (7, 8)])
+    def test_every_size_by_bitsets(self, monkeypatch, wide, prescan):
+        # a lower bound on the wide sets and a shorter pre-scan send most sets
+        # down the bitset path; the pre-scan may not exceed the sides of a
+        # wide set, 2^(wide - 1) - 1
+        monkeypatch.setattr(widths, "_WIDE", wide)
+        monkeypatch.setattr(widths, "_PRESCAN", prescan)
+        rng = SplitMix64(2121)
+        for n in range(4, 11):
+            g = sample_gnp_half(n, rng.next_word())
+            for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                self.assert_same(_half_table(g, dataclasses.replace(f)))
+            for f in (MIXED_MIN_SIDE, HALF_MIN_SIDE, SPREAD_VALUES):
+                self.assert_same(_half_table(g, f))
 
 
 class TestFullTableOracle:

@@ -7,12 +7,14 @@ elimination over 2^14 of them at a time, the boolean cut function by one walk,
 each cell built from its parent subset's state.  It times the same for a
 dataclasses.replace copy of each, which calls the per-subset kernel on all
 2^n subsets and audits every pair.  At n = 18 and 22 it times the built-in
-cut-rank fill alone (the boolean walk takes half a minute at n = 22).  For
-each built-in it times the split loop alone (widths._subset_dp on a fresh
-copy of a filled half table), as every engine runs it.  At n = 10, 14 and
-16 it times exact_f_width and balanced_cut_lower_bound end to end for each
-built-in.  Each figure is the median of REPEATS wall times, the calls of one
-row alternating.  Prints one JSON object.
+cut-rank fill alone (the boolean walk takes half a minute at n = 22).  At
+n = 14, 16 and 18 it times the split loop alone for each built-in
+(widths._subset_dp on a fresh copy of a filled half table), as every engine
+runs it: the sets below 10 vertices by the ascending scan, the wider ones
+by threshold bitsets.  At n = 10, 14 and 16 it times exact_f_width and
+balanced_cut_lower_bound end to end for each built-in.  Each figure is the
+median of REPEATS wall times, the calls of one row alternating.  Prints one
+JSON object.
 
     PYTHONPATH=src python3 tools/fill_timing.py
 """
@@ -45,6 +47,12 @@ def _median_s(calls):
     return [round(statistics.median(ts), 4) for ts in times]
 
 
+def _split_loop_row(g, f) -> dict:
+    low = _half_table(g, f)
+    (leaf,) = _median_s([lambda: _subset_dp(list(low))])
+    return {"layer": f"split_loop.{f.name}", "n": g.n, "leaf_s": leaf}
+
+
 def main() -> None:
     rows = []
     for n in (10, 14, 16):
@@ -54,9 +62,7 @@ def main() -> None:
                 copy = dataclasses.replace(f)
                 full, half = _median_s([lambda: _half_table(g, copy), lambda: _half_table(g, f)])
                 rows.append({"layer": f"half_table.{f.name}", "n": n, "full_s": full, "half_s": half})
-                low = _half_table(g, f)
-                (leaf,) = _median_s([lambda: _subset_dp(list(low), len(low))])
-                rows.append({"layer": f"split_loop.{f.name}", "n": n, "leaf_s": leaf})
+                rows.append(_split_loop_row(g, f))
             width, bound = _median_s(
                 [lambda: exact_f_width(g, f), lambda: balanced_cut_lower_bound(g, f)]
             )
@@ -65,6 +71,8 @@ def main() -> None:
         g = sample_gnp_half(n, 1)
         (half,) = _median_s([lambda: _half_table(g, CUT_RANK_FUNCTION)])
         rows.append({"layer": "half_table.rank", "n": n, "half_s": half})
+        if n == 18:
+            rows += [_split_loop_row(g, f) for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION)]
     print(json.dumps({"python": platform.python_version(), "repeats": REPEATS, "rows": rows}))
 
 
