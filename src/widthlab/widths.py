@@ -32,23 +32,29 @@ between optimal splits resolve to the numerically smallest side, so the
 witness is deterministic.
 
 Nearly all sides the DP visits belong to its few wide sets, those of at
-least _WIDE = 10 vertices (2^9 - 1 sides or more), and most of those never
-stop early, because c(S) > f(S).  So _subset_dp scans the narrower sets
-first and then decides each wide set for all its sides at once, in big-int
-bitsets (_wide_dp), unless the first _PRESCAN = 32 sides of its scan stop
-it.  For a distinct table value k, bit T of B_k is set iff g[T] <= k.
-Reversed over the table's bits, B_k turns the other side S \\ T into a
-shift, so B_k, its reversal shifted and a mask of S's sides give, in two
-ANDs, every side T with g[T] <= k and g[S \\ T] <= k.  A binary search over
-the distinct values finds the least such k, which is c(S).  The lowest side
-that passes at c(S) is the first side of the ascending scan to reach c(S),
-where the scan's strictly improving best settles, so g[S] is set to the
-scan's very object, the larger of g[T] and g[S \\ T] (g[T] on a tie).
-The bitsets are built once per value, when first asked for, from a one-byte
-number per cell (an int past 256 distinct values), and a set whose g rises
-clears its bit in the bitsets it no longer passes.  The DP runs on n - 1
-vertices, so only graphs from n = 11 up have wide sets; at n = 14 they are
-378 of the 8,192 sets.
+least _WIDE = 10 vertices (2^9 - 1 sides or more), and a wide set whose
+scan does not stop early visits them all.  So _subset_dp scans the
+narrower sets first and then decides each wide set for all its sides at
+once, in big-int bitsets (_wide_dp), unless its scan stops within its
+first 15 sides, the subsets of its lowest _PRESCAN = 4 side vertices
+(_best_split runs that short scan).  For a distinct table value k, bit T
+of B_k is set iff g[T] <= k.  Reversed over the table's bits, B_k turns
+the other side S \\ T into a shift, so B_k, its reversal shifted and a mask
+of S's sides give, in two ANDs, every side T with g[T] <= k and
+g[S \\ T] <= k.  A binary search over the distinct values finds the least
+such k, which is c(S).  The lowest side that passes at c(S) is the first
+side of the ascending scan to reach c(S), where the scan's strictly
+improving best settles, so g[S] is set to the scan's very object, the
+larger of g[T] and g[S \\ T] (g[T] on a tie).  The bitsets are built once
+per value, when first asked for, from a one-byte number per cell, and a
+set whose g rises clears its bit in the bitsets it no longer passes.  A
+table of more than 256 distinct values has no such numbers and is scanned
+set by set: each value probed would cost a pass over all cells and two
+bitsets kept to the end, and a weighted edge cut with 11,130 values took
+10.3 s by bitsets against 0.21 s by the scan at n = 16.  The built-in
+functions stay far below that: on G(18, 1/2) cut-rank has 10 values and
+the boolean function 64-93.  The DP runs on n - 1 vertices, so only graphs
+from n = 11 up have wide sets; at n = 14 they are 378 of the 8,192 sets.
 
 Every cut function is tabulated once, by _half_table, on the 2^(n-1)
 subsets without vertex n - 1: exactly the indices below 2^(n-1), so this is
@@ -598,13 +604,18 @@ def _leaf_rooted_width(graph: Graph, f: CutFunction, low: list[float]) -> WidthR
 def _subset_dp(g: list[float]) -> None:
     """The DP over the whole table: g[S] = f(S) becomes max(f(S), c(S)) for every S.
 
-    len(g) is a power of two.  The sets below _WIDE vertices are scanned
-    first, then the wide ones (_wide_dp), each in ascending order, so every
-    subset of a set is final before the set is.
+    len(g) is a power of two.  If g holds at most 256 distinct values, the
+    sets below _WIDE vertices are scanned first and then the wide ones are
+    decided by threshold bitsets (_wide_dp); otherwise every set is scanned.
+    Either way the sets go in ascending order, so every subset of a set is
+    final before the set is.
     """
+    # only a table of 2^_WIDE cells or more has wide sets
+    values = sorted(set(g)) if len(g) >> _WIDE else []
+    bitsets = len(values) <= 256
     wide = []
     for s in range(3, len(g)):
-        if s.bit_count() >= _WIDE:
+        if bitsets and s.bit_count() >= _WIDE:
             wide.append(s)
         elif s & (s - 1):
             fs = g[s]
@@ -612,49 +623,45 @@ def _subset_dp(g: list[float]) -> None:
             if best > fs:
                 g[s] = best
     if wide:
-        _wide_dp(g, wide)
+        _wide_dp(g, wide, values)
 
 
-# a set of at least _WIDE vertices is decided by threshold bitsets unless the
-# first _PRESCAN sides of its scan stop it; it has 2^(_WIDE - 1) - 1 sides or
-# more, and _PRESCAN may not exceed that
+# a set of at least _WIDE vertices is decided by threshold bitsets unless
+# its scan stops within the subsets of the lowest _PRESCAN vertices of its
+# sides, the scan's first 2^_PRESCAN - 1 sides
 _WIDE = 10
-_PRESCAN = 32
+_PRESCAN = 4
 # byte b -> b with its 8 bits in reverse order
 _REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _wide_dp(g: list[float], wide: list[int]) -> None:
+def _wide_dp(g: list[float], wide: list[int], values: list[float]) -> None:
     """The DP's wide sets, in ascending order, decided by threshold bitsets.
 
-    The distinct values of g are numbered in order, and code[i] is g[i]'s
-    number.  For a number k, bit i of B_k is set iff code[i] <= k, and R_k
-    is B_k reversed over the len(g) bits: bit full ^ i of R_k is bit i of
-    B_k.  For a set S with C = full ^ S and a side T of S, bit T of
-    R_k >> C is bit full ^ (T | C) = S ^ T of B_k, so the sides passing at
-    k, g[T] <= k and g[S ^ T] <= k, are the bits of B_k & (R_k >> C) & M_S,
-    M_S holding the non-empty subsets of S without its top vertex.  c(S) is
-    the least k at which a side passes; the lowest such side is the one
-    the ascending scan keeps, so g[S] is the scan's object.
+    values are g's distinct values in order, at most 256 of them, and
+    code[i] is the number of g[i] among them.  For a number k, bit i of B_k
+    is set iff code[i] <= k, and R_k is B_k reversed over the len(g) bits:
+    bit full ^ i of R_k is bit i of B_k.  For a set S with C = full ^ S and
+    a side T of S, bit T of R_k >> C is bit full ^ (T | C) = S ^ T of B_k,
+    so the sides passing at k, g[T] <= k and g[S ^ T] <= k, are the bits of
+    B_k & (R_k >> C) & M_S, M_S holding the non-empty subsets of S without
+    its top vertex.  c(S) is the least k at which a side passes; the lowest
+    such side is the one the ascending scan keeps, so g[S] is the scan's
+    object.
     """
     size = len(g)
     full = size - 1
     ones = (1 << size) - 1
     # without[v]: bit T set iff T does not hold vertex v
     without = [ones ^ p for p in _bit_patterns(full.bit_length())]
-    values = sorted(set(g))
     number = {v: k for k, v in enumerate(values)}
-    small = len(values) <= 256
-    code = (bytearray if small else list)(map(number.__getitem__, g))
+    code = bytearray(map(number.__getitem__, g))
     cache: dict = {}  # k -> [B_k, R_k], kept current as g rises
 
     def passing(k: int, m: int, c: int) -> int:
         bits = cache.get(k)
         if bits is None:
-            if small:
-                cells = code.translate(bytes(map(k.__ge__, range(256))))
-            else:
-                cells = bytes(map(k.__ge__, code))
+            cells = code.translate(bytes(map(k.__ge__, range(256))))
             b = 0
             for j in range(8):
                 b |= int.from_bytes(cells[j::8], "little") << j
@@ -663,20 +670,14 @@ def _wide_dp(g: list[float], wide: list[int]) -> None:
         return bits[0] & m & (bits[1] >> c)
 
     for s in wide:
-        fs = g[s]
         rest = s ^ (1 << (s.bit_length() - 1))
-        # the scan's first _PRESCAN sides, as _best_split takes them
-        best = math.inf
-        t = 0
+        # the scan's first sides, the subsets of rest's lowest _PRESCAN
+        # vertices; if they stop it, g[S] stays f(S)
+        high = rest
         for _ in range(_PRESCAN):
-            t = (t - rest) & rest
-            a = g[t]
-            if a < best:
-                b = g[s ^ t]
-                if b < best:
-                    best = a if a >= b else b
-                    if best <= fs:
-                        break
+            high &= high - 1
+        fs = g[s]
+        best = _best_split(g, s, fs, rest ^ high)[0]
         if best <= fs:
             continue
         c = full ^ s
@@ -685,7 +686,7 @@ def _wide_dp(g: list[float], wide: list[int]) -> None:
             if not rest >> v & 1:
                 m &= clear
         # the least k with a passing side, between f(S) and the scan's best
-        lo = low = number[fs]
+        lo = low = code[s]
         hi = number[best]
         while lo < hi:
             mid = (lo + hi) >> 1
@@ -706,13 +707,16 @@ def _wide_dp(g: list[float], wide: list[int]) -> None:
                 bits[1] ^= 1 << c
 
 
-def _best_split(g: list[float], s: int, stop: float = -math.inf) -> tuple[float, int]:
+def _best_split(
+    g: list[float], s: int, stop: float = -math.inf, sides: int = 0
+) -> tuple[float, int]:
     """c(S) and the smallest side T realizing it, by an ascending scan of T.
 
-    T runs over the non-empty subsets of S without its top bit.  The scan
-    ends early at the first split whose value is <= stop.
+    T runs over the non-empty subsets of S without its top bit, or of sides,
+    a subset of that, if given.  The scan ends early at the first split
+    whose value is <= stop.
     """
-    rest = s ^ (1 << (s.bit_length() - 1))
+    rest = sides or s ^ (1 << (s.bit_length() - 1))
     best = math.inf
     side = 0
     t = 0

@@ -606,11 +606,25 @@ class TestWideSetsByBitsets:
             assert len(set(low)) > 256
             self.assert_same(low)
 
-    @pytest.mark.parametrize("wide, prescan", [(3, 1), (3, 3), (5, 15), (7, 8)])
+    @pytest.mark.parametrize("count, bitsets", [(256, True), (257, False)])
+    def test_bitsets_up_to_a_byte_of_values(self, monkeypatch, count, bitsets):
+        # SPREAD_VALUES's table at n = 13 cut down to count distinct values,
+        # in the same order; past 256 every set is scanned
+        calls, wide_dp = [], widths._wide_dp
+        monkeypatch.setattr(widths, "_wide_dp", lambda *a: calls.append(wide_dp(*a)))
+        spread = _half_table(empty_graph(13), SPREAD_VALUES)
+        values = sorted(set(spread))
+        number = {v: k * count // len(values) for k, v in enumerate(values)}
+        low = [number[v] for v in spread]
+        assert len(set(low)) == count
+        self.assert_same(low)
+        assert calls == ([None] if bitsets else [])
+
+    @pytest.mark.parametrize("wide, prescan", [(3, 1), (3, 2), (5, 3), (7, 0), (7, 9)])
     def test_every_size_by_bitsets(self, monkeypatch, wide, prescan):
         # a lower bound on the wide sets and a shorter pre-scan send most sets
-        # down the bitset path; the pre-scan may not exceed the sides of a
-        # wide set, 2^(wide - 1) - 1
+        # down the bitset path; a pre-scan of no vertex, or of all of them,
+        # scans every side
         monkeypatch.setattr(widths, "_WIDE", wide)
         monkeypatch.setattr(widths, "_PRESCAN", prescan)
         rng = SplitMix64(2121)

@@ -11,7 +11,8 @@ cut-rank fill alone (the boolean walk takes half a minute at n = 22).  At
 n = 14, 16 and 18 it times the split loop alone for each built-in
 (widths._subset_dp on a fresh copy of a filled half table), as every engine
 runs it: the sets below 10 vertices by the ascending scan, the wider ones
-by threshold bitsets.  At n = 10, 14 and 16 it times exact_f_width and
+by threshold bitsets (the built-ins' tables hold at most 256 distinct
+values).  At n = 10, 14 and 16 it times exact_f_width and
 balanced_cut_lower_bound end to end for each built-in.  Each figure is the
 median of REPEATS wall times, the calls of one row alternating.  Prints one
 JSON object.
