@@ -36,8 +36,8 @@ from .widths import (
     CUT_RANK_FUNCTION,
     DEFAULT_EXACT_CAP,
     _balanced_min,
+    _exact_width,
     _half_table,
-    _leaf_rooted_width,
     tree_cuts,
 )
 
@@ -226,13 +226,13 @@ def lemma1_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
 
 def _scaling_trial(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     graph = sample_gnp_half(n, seed)
-    # The balanced bound reads the rank half table before the DP overwrites
-    # it; _run_experiment has already checked n against the width cap.
+    # The balanced bound and the DP read one rank half table, which the DP
+    # leaves as it is; _run_experiment has already checked n against the
+    # width cap.
     rank = _half_table(graph, CUT_RANK_FUNCTION)
     lb = int(_balanced_min(rank)[0])
-    rw = int(_leaf_rooted_width(graph, CUT_RANK_FUNCTION, rank).value)
-    boolean = _half_table(graph, CUT_BOOL_FUNCTION)
-    boolw = _leaf_rooted_width(graph, CUT_BOOL_FUNCTION, boolean).value
+    rw = int(_exact_width(graph, CUT_RANK_FUNCTION, rank).value)
+    boolw = _exact_width(graph, CUT_BOOL_FUNCTION, _half_table(graph, CUT_BOOL_FUNCTION)).value
     if lb > rw:
         raise AssertionError(f"balanced lower bound {lb} above exact rankwidth {rw}")
     return {"rw": rw, "boolw": boolw, "lb": lb, "rw_over_n": rw / n}
@@ -254,10 +254,9 @@ def scaling_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport
     """Exact rankwidth/booleanwidth of random graphs as n grows.
 
     Per trial records rankwidth, booleanwidth, the balanced-cut lower bound
-    under cut-rank (asserted <= rankwidth), and rw/n.  Both widths take
-    the DP rooted at the last leaf (widths._leaf_rooted_width), whose values
-    are exact_f_width's, and the bound is read from the rank DP's half
-    table, not evaluated again.
+    under cut-rank (asserted <= rankwidth), and rw/n.  Both widths are
+    exact_f_width's DP on a half table (widths._exact_width), and the bound
+    is read from the rank DP's half table, not evaluated again.
     """
     return _run_experiment(_SCALING, cfg, jobs)
 
@@ -266,8 +265,8 @@ def scaling_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport
 
 def _boolw_rw_trial(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     graph = sample_gnp_half(n, seed)
-    rw_res = _leaf_rooted_width(graph, CUT_RANK_FUNCTION, _half_table(graph, CUT_RANK_FUNCTION))
-    bw_res = _leaf_rooted_width(graph, CUT_BOOL_FUNCTION, _half_table(graph, CUT_BOOL_FUNCTION))
+    rw_res = _exact_width(graph, CUT_RANK_FUNCTION, _half_table(graph, CUT_RANK_FUNCTION))
+    bw_res = _exact_width(graph, CUT_BOOL_FUNCTION, _half_table(graph, CUT_BOOL_FUNCTION))
     rw = int(rw_res.value)
     log2_g = log2_int(galois_number(rw))
     violations = 0

@@ -27,9 +27,8 @@ g[T] >= best cannot strictly improve the best split found so far, and the
 scan of S stops as soon as best <= f(S), because then g[S] = f(S) whatever
 c(S) is.  Early stops leave c(S) itself unknown, so the witness tree is
 rebuilt from the exact g afterwards, by a full ascending scan at each of the
-tree's own n - 1 splits (the root and the n - 2 internal nodes).  Ties
-between optimal splits resolve to the numerically smallest side, so the
-witness is deterministic.
+tree's own n - 2 internal nodes.  Ties between optimal splits resolve to
+the numerically smallest side, so the witness is deterministic.
 
 Nearly all sides the DP visits belong to its few wide sets, those of at
 least _WIDE = 10 vertices (2^9 - 1 sides or more), and a wide set whose
@@ -59,26 +58,24 @@ from n = 11 up have wide sets; at n = 14 they are 378 of the 8,192 sets.
 Every cut function is tabulated once, by _half_table, on the 2^(n-1)
 subsets without vertex n - 1: exactly the indices below 2^(n-1), so this is
 the lower half of the 2^n table.  The upper half is never built: f of a set
-u holding n - 1 is f_half[full ^ u].  Every tree has the leaf edge
-{v} | V \\ {v} for v = n - 1, so the width w is g[V \\ {v}], and the DP
-runs on the lower half alone (_subset_dp on the half table).  The scaling and
-boolw-rw experiment trials stop there (_leaf_rooted_width): their witness
-is rooted at that leaf edge, and those reports hold no tree text.
+u holding n - 1 is f_half[full ^ u].
 
-exact_f_width keeps the witness of the DP over all 2^n sets.  Its root side
-is {0}: the scan tries it first, and it is optimal, because every tree has
-the leaf edge of vertex 0 too.  For the sets u holding n - 1 below the root,
-exact_f_width decides g[u] <= k instead of tabulating g[u]
-(_upper_side): g[u] <= k iff f(u) <= k and some side T of u without n - 1
-has g[T] <= k and g[u \\ T] <= k, where g[T] is read below the half and
-g[u \\ T] is decided in turn, memoised on (u \\ T, k).  A witness node
-below the half takes _best_split's side; a node above it finds c(u) by a
-binary search over the table's distinct values up to w, then takes the
-first side that passes at c(u), which is the side the full scan would take
-(_upper_split).  The width is returned as the very object the full DP would
-return (_full_dp_value), which matters only for an f whose equal values
-differ in type.  balanced_cut_lower_bound reads the same half table, at
-f_half[s] or f_half[full ^ s] (_balanced_min).
+The DP runs on the 2^(n-1) sets without vertex 0 alone (_exact_width) and
+gives the value and witness of the DP over all 2^n sets.  That DP's root
+side is {0}: the scan tries it first, and it is optimal, because every tree
+has the leaf edge of vertex 0.  Every node below the root is a subset of
+V \\ {0}, and g of such a set depends only on its own subsets.  The map
+s -> s >> 1 keeps the ascending order of the sets, each set's top bit and
+the ascending order of its sides, so the DP on g[s] = f(s << 1) leaves g[s]
+equal to the full DP's g[s << 1], object for object.  That table is
+f_half[::2] + f_half[::-2]: s << 1 is below 2^(n-1) for the lower half of
+the s, and for the upper half full ^ (s << 1) runs down the odd indices.
+The slices copy the cells' objects and leave f_half as it is, so
+balanced_cut_lower_bound and the scaling trial can read it too, at
+f_half[s] or f_half[full ^ s] (_balanced_min).  The width is the full
+scan's first split, the larger of g[{0}] = f_half[1] and g[V \\ {0}], the
+first on a tie: the very object the full DP returns, which matters only
+for an f whose equal values differ in type.
 
 The engine needs f(X) = f(V \\ X) and f(empty) = 0, and _audit_symmetry
 checks both, in one of two ways:
@@ -106,7 +103,6 @@ checks both, in one of two ways:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional
@@ -490,115 +486,35 @@ def exact_f_width(
     """Exact minimum f-width over all decomposition trees, with witnesses.
 
     The subset DP of the module docstring, at most O(3^n) side lookups on
-    f's half table, with the sets holding vertex n - 1 decided on demand.
-    The witness tree is the full DP's, rebuilt and re-evaluated with
+    f's half table, run on the sets without vertex 0 (_exact_width).  The
+    witness tree is the full DP's, rebuilt and re-evaluated with
     tree_width_under; ties between optimal splits resolve to the
     numerically smallest side, so it is deterministic.
     """
     n = graph.n
     _check_exact_cap(n, n_cap)
-    if n <= 1:
-        return WidthResult(0.0, _trivial_tree(n), Cut(0, n))
-    f_half = _half_table(graph, f)
-    low = f_half[:]
-    half = len(low)
-    _subset_dp(low)
-    w = low[half - 1]
-    memo: dict = {}  # k -> {u: the first side of u passing at k, or 0}
-    values = sorted({v for v in f_half if v <= w})
-    upper: dict = {}  # witness node holding n - 1 -> (c(u), its side)
-
-    def split(s: int) -> int:
-        if s < half:
-            return _best_split(low, s)[1]
-        upper[s] = _upper_split(low, f_half, memo, values, s)
-        return upper[s][1]
-
-    # the full scan's root side is {0}: the first side, and an optimal one,
-    # since every tree has the leaf edge of vertex 0
-    tree = _witness_tree(split, n, 1)
-    return _verified(graph, f, _full_dp_value(low, f_half, upper, w), tree)
+    # below two vertices there is no half table; _exact_width returns the
+    # edgeless tree without reading one
+    return _exact_width(graph, f, _half_table(graph, f) if n > 1 else [0.0])
 
 
-def _full_dp_value(low: list[float], f_half: list[float], upper: dict, w: float) -> float:
-    """The object the full DP returns for the width w, read down the witness.
+def _exact_width(graph: Graph, f: CutFunction, f_half: list[float]) -> WidthResult:
+    """exact_f_width on f's half table, which it leaves as it is.
 
-    That is g[{0}] if it equals w, else g[V \\ {0}].  g of a witness node u
-    holding n - 1 is f(u) if c(u) <= f(u), else its side T's g[T] if that
-    equals c(u), else g[u \\ T], the next such node.  The objects differ only
-    for an f whose equal values differ in type, as 1 and 1.0.
-    """
-    full = (len(low) << 1) - 1
-    if low[1] >= w:
-        return low[1]
-    u = full ^ 1
-    while u in upper:
-        c, t = upper[u]
-        if c <= f_half[full ^ u]:
-            break
-        if low[t] >= c:
-            return low[t]
-        u ^= t
-    return f_half[full ^ u]
-
-
-def _upper_side(low: list[float], f_half: list[float], seen: dict, u: int, k: float) -> int:
-    """The first side T of u, ascending, with g[T] <= k and g[u \\ T] <= k; 0 if none.
-
-    u holds vertex n - 1, so T runs over the non-empty subsets of u without
-    it and u \\ T holds it too: f(u \\ T) <= k is read from f_half, the rest
-    of g[u \\ T] <= k decided by recursion.  seen memoises the sets scanned
-    at this k.  A module function, not a closure, as _subtree is.
-    """
-    side = seen.get(u)
-    if side is not None:
-        return side
-    half = len(low)
-    rest = u ^ half
-    comp = ((half << 1) - 1) ^ u
-    t = 0
-    while True:
-        t = (t - rest) & rest
-        if (
-            not t
-            or low[t] <= k
-            and f_half[comp | t] <= k
-            and (t == rest or _upper_side(low, f_half, seen, u ^ t, k))
-        ):
-            seen[u] = t
-            return t
-
-
-def _upper_split(
-    low: list[float], f_half: list[float], memo: dict, values: list[float], s: int
-) -> tuple[float, int]:
-    """c(s) and _best_split's side of s, a witness node holding vertex n - 1.
-
-    c(s) is the least of values, the table's distinct values up to the
-    width, at which a side passes, and the side is the first that passes.
-    """
-
-    def side(k: float) -> int:
-        return _upper_side(low, f_half, memo.setdefault(k, {}), s, k)
-
-    c = values[bisect_left(values, True, key=lambda k: side(k) != 0)]
-    return c, side(c)
-
-
-def _leaf_rooted_width(graph: Graph, f: CutFunction, low: list[float]) -> WidthResult:
-    """exact_f_width's value by the DP rooted at leaf n - 1 (see the module docstring).
-
-    The DP overwrites low, f's _half_table, in place.  The witness is the
-    optimal subtree on V \\ {n - 1} joined to leaf n - 1.  The caller checks
-    n against the width cap.
+    g[s] = f(s << 1) is f on the sets without vertex 0, and the DP on g
+    leaves g[s] equal to the full DP's g[s << 1], object for object (see
+    the module docstring).  The root side is {0}, and the value is the
+    full scan's first split, its best.  The caller checks n against the
+    width cap.
     """
     n = graph.n
     if n <= 1:
         return WidthResult(0.0, _trivial_tree(n), Cut(0, n))
-    rest = (1 << (n - 1)) - 1
-    _subset_dp(low)
-    tree = _witness_tree(lambda s: _best_split(low, s)[1], n, rest)
-    return _verified(graph, f, low[rest], tree)
+    g = f_half[::2] + f_half[::-2]
+    _subset_dp(g)
+    tree = _witness_tree(lambda s: _best_split(g, s >> 1)[1] << 1, n, 1)
+    a, b = f_half[1], g[-1]
+    return _verified(graph, f, a if a >= b else b, tree)
 
 
 def _subset_dp(g: list[float]) -> None:
@@ -610,9 +526,10 @@ def _subset_dp(g: list[float]) -> None:
     Either way the sets go in ascending order, so every subset of a set is
     final before the set is.
     """
-    # only a table of 2^_WIDE cells or more has wide sets
+    # only a table of 2^_WIDE cells or more has wide sets; a smaller one
+    # skips the per-set size test
     values = sorted(set(g)) if len(g) >> _WIDE else []
-    bitsets = len(values) <= 256
+    bitsets = 0 < len(values) <= 256
     wide = []
     for s in range(3, len(g)):
         if bitsets and s.bit_count() >= _WIDE:

@@ -181,8 +181,9 @@ class TestScalingExperiment:
 
 class TestBoolwRwExperiment:
     def test_records_match_the_public_engines(self):
-        # the trial takes the leaf-rooted DP; its values and its audit of
-        # its own witness trees must agree with the public engines
+        # the trial runs the engines' DP on half tables it fills itself; its
+        # values and its audit of its witness trees must agree with the
+        # public engines
         report = boolw_vs_rw_experiment(small_cfg("boolw-rw", n_values=(1, 2, 5, 7), trials=8))
         for rec in report.records:
             g = sample_gnp_half(rec["n"], rec["seed"])

@@ -49,8 +49,8 @@ from widthlab.graphs import _cut_rank_bits
 from widthlab.widths import (
     _best_split,
     _bits_eval,
+    _exact_width,
     _half_table,
-    _leaf_rooted_width,
     _subset_dp,
     _verified,
     _witness_tree,
@@ -637,9 +637,8 @@ class TestWideSetsByBitsets:
 
 
 class TestFullTableOracle:
-    """exact_f_width decides the sets holding vertex n - 1 instead of running
-    the DP over them; value, value type, witness tree and witness cut must be
-    the full-table DP's."""
+    """exact_f_width runs the DP on the sets without vertex 0 alone; value,
+    value type, witness tree and witness cut must be the full-table DP's."""
 
     def assert_same(self, graph, f):
         res, ref = exact_f_width(graph, f), full_table_f_width(graph, f)
@@ -651,7 +650,7 @@ class TestFullTableOracle:
 
     def test_random_graphs(self):
         rng = SplitMix64(8686)
-        for n in range(2, 15):
+        for n in range(2, 16):
             for _ in range(4 if n <= 10 else 2 if n <= 12 else 1):
                 g = sample_gnp_half(n, rng.next_word())
                 for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
@@ -673,15 +672,18 @@ class TestFullTableOracle:
 
 
 class TestLeafRootedDP:
-    """The experiments' DP, rooted at the edge to leaf n - 1 on f's half
-    table: the value of exact_f_width and of the full-scan DP, and a witness
-    that re-evaluates to it."""
+    """The DP rooted at the edge to leaf 0 on a given half table, which the
+    experiments also call: the value of exact_f_width and of the full-scan
+    DP, a witness that re-evaluates to it, and the half table left as it
+    was, cell for cell, since the scaling trial's balanced bound reads it."""
 
     def assert_same(self, graph, f):
         n = graph.n
         low = _half_table(graph, f)
         assert len(low) == 1 << (n - 1)
-        res = _leaf_rooted_width(graph, f, low)
+        cells = list(low)
+        res = _exact_width(graph, f, low)
+        assert len(low) == len(cells) and all(a is b for a, b in zip(low, cells))
         ref = exact_f_width(graph, f)
         assert repr(res.value) == repr(ref.value)
         assert type(res.value) is type(ref.value)
@@ -720,7 +722,7 @@ class TestLeafRootedDP:
     def test_trivial_graphs(self):
         for n in (0, 1):
             for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
-                res = _leaf_rooted_width(empty_graph(n), f, [0.0])
+                res = _exact_width(empty_graph(n), f, [0.0])
                 assert (res.value, res.witness_tree.n_leaves) == (0.0, n)
 
 
@@ -1044,7 +1046,7 @@ class TestNoReferenceCycles:
             emit_tree(exact_f_width(g, CUT_RANK_FUNCTION).witness_tree)
             exact_f_width(g, CUT_BOOL_FUNCTION)
             low = _half_table(g, CUT_BOOL_FUNCTION)
-            emit_tree(_leaf_rooted_width(g, CUT_BOOL_FUNCTION, low).witness_tree)
+            emit_tree(_exact_width(g, CUT_BOOL_FUNCTION, low).witness_tree)
             scaling_experiment(cfg)
             boolw_vs_rw_experiment(boolw_cfg)
             assert gc.collect() == 0

@@ -9,8 +9,9 @@ dataclasses.replace copy of each, which calls the per-subset kernel on all
 2^n subsets and audits every pair.  At n = 18 and 22 it times the built-in
 cut-rank fill alone (the boolean walk takes half a minute at n = 22).  At
 n = 14, 16 and 18 it times the split loop alone for each built-in
-(widths._subset_dp on a fresh copy of a filled half table), as every engine
-runs it: the sets below 10 vertices by the ascending scan, the wider ones
+(widths._subset_dp on the re-indexed copy of a filled half table that
+widths._exact_width makes, the sets without vertex 0), as every engine runs
+it: the sets below 10 vertices by the ascending scan, the wider ones
 by threshold bitsets (the built-ins' tables hold at most 256 distinct
 values).  At n = 10, 14 and 16 it times exact_f_width and
 balanced_cut_lower_bound end to end for each built-in.  Each figure is the
@@ -50,7 +51,7 @@ def _median_s(calls):
 
 def _split_loop_row(g, f) -> dict:
     low = _half_table(g, f)
-    (leaf,) = _median_s([lambda: _subset_dp(list(low))])
+    (leaf,) = _median_s([lambda: _subset_dp(low[::2] + low[::-2])])
     return {"layer": f"split_loop.{f.name}", "n": g.n, "leaf_s": leaf}
 
 
