@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, ParseError
@@ -188,11 +187,15 @@ def rank_distribution_oracle(m: int, n: int) -> list[Fraction]:
 
 
 def exhaustive_work(rows: int, cols: int, m: int, k: int) -> int:
-    """Work units of `min_submatrix_rank_exhaustive` for an m x k minimum.
+    """The certification rule's work count for an m x k minimum.
 
-    C(rows, m) * 2**m row combinations walked, plus C(cols, k) column sets
-    scanned once for the witness.  The experiments compare this count with
-    their work cap to choose between an exhaustive and a sampled trial.
+    C(rows, m) * 2**m row combinations plus C(cols, k) column sets: the work
+    of a walk over every row set and a scan of every column set.
+    `min_submatrix_rank_exhaustive` prunes both searches instead, so this
+    does not count its steps.  The count stays as it was because the
+    experiments compare it with their work cap to choose between an
+    exhaustive and a sampled trial, and that choice is written into every
+    report.
     """
     return math.comb(rows, m) * (1 << m) + math.comb(cols, k)
 
@@ -233,6 +236,94 @@ def _check_shape(matrix: BitMatrix, m: int, k: int) -> None:
         raise ValueError(f"need 0 <= k <= {matrix.cols}, got {k}")
 
 
+def _first_rows(data: Sequence[int], m: int, budget: int, best: int) -> tuple[int, tuple[int, ...]]:
+    """Least rank below `best` over m of the rows `data`, and the first row set reaching it.
+
+    A row set's rank is its least over k = cols - budget columns.  Returns
+    (mu, rowset), rowset first in `combinations` order, or (best, ()) when
+    no row set beats `best`.  Row prefixes are searched depth first in that
+    order.  A child writes its 2**j new products after its parent's and
+    appends its fitting (x, xR) pairs to the shared list, which is cut back
+    when the child is left.  A prefix R' whose own minimum |R'| - dim X_U is
+    at least `best` is not extended: the minimum cannot drop as rows join.
+    A full row set is taken only on a strict improvement, and the search
+    stops at rank 0.
+    """
+    products = [0] * (1 << m)
+    fits: list[tuple[int, int]] = []
+    chosen: list[int] = []
+    best_rows: tuple[int, ...] = ()
+
+    def extend(start: int) -> None:
+        nonlocal best, best_rows
+        j = len(chosen)
+        half = 1 << j
+        for r in range(start, len(data) - m + j + 1):
+            w = data[r]
+            mark = len(fits)
+            for x in range(half):
+                p = products[x] ^ w
+                products[half | x] = p
+                if p.bit_count() <= budget:
+                    fits.append((half | x, p))
+            chosen.append(r)
+            floor = j + 1 - best
+            if j + 1 < m and floor < 0:
+                extend(r + 1)  # too few rows to reach rank best
+            # a subspace of dimension floor + 1 has 2**(floor + 1) - 1 nonzero members
+            elif len(fits) >= (1 << (floor + 1)) - 1:
+                dim = _max_fit_dim(fits, budget, floor)
+                if dim > floor:
+                    if j + 1 < m:
+                        extend(r + 1)
+                    else:
+                        best, best_rows = m - dim, tuple(chosen)
+            chosen.pop()
+            del fits[mark:]
+            if best == 0:
+                return
+
+    extend(0)
+    return best, best_rows
+
+
+def _first_columns(rows: Sequence[int], cols: int, k: int, mu: int) -> tuple[int, ...] | None:
+    """First k of `cols` columns, in `combinations` order, where `rows` have rank <= mu.
+
+    Column prefixes are searched depth first.  Each column is reduced against
+    the pivots of the prefix's columns (vectors over the rows), and a column
+    outside their span that would raise the rank past mu is skipped: rank
+    cannot drop as columns join.  Returns None when no k columns qualify.
+    """
+    vectors = [sum(((w >> c) & 1) << i for i, w in enumerate(rows)) for c in range(cols)]
+    pivots: dict[int, int] = {}
+    chosen: list[tuple[int, int]] = []  # (column, the pivot it added or 0)
+    c = 0
+    while len(chosen) < k:
+        if c > cols - k + len(chosen):
+            if not chosen:
+                return None
+            c, added = chosen.pop()
+            if added:
+                del pivots[added & -added]
+            c += 1
+            continue
+        v = vectors[c]
+        while v:
+            p = pivots.get(v & -v)
+            if p is None:
+                break
+            v ^= p
+        if v:
+            if len(pivots) == mu:
+                c += 1
+                continue
+            pivots[v & -v] = v
+        chosen.append((c, v))
+        c += 1
+    return tuple(c for c, _ in chosen)
+
+
 def min_submatrix_rank_exhaustive(
     matrix: BitMatrix,
     m: int,
@@ -247,11 +338,13 @@ def min_submatrix_rank_exhaustive(
     columns, found from R's 2**m row combinations without scanning columns.
 
     The witness is the first pair achieving the minimum in lexicographic
-    (rowset, colset) order, as a scan of every pair would find it: row sets
-    are searched in `combinations` order and one is taken only when it
-    strictly beats the best so far, then the winning row set's column sets
-    are scanned in order for the first of that rank.  Raises CapExceeded when
-    `exhaustive_work` exceeds `pair_cap`.
+    (rowset, colset) order, as a scan of every pair would find it.  Row
+    prefixes are searched depth first in `combinations` order, a prefix that
+    cannot strictly beat the best so far is not extended, and a row set is
+    taken only on a strict improvement (`_first_rows`).  Then the winning
+    row set's column prefixes are searched in the same order, and the first
+    k columns of that rank are the witness (`_first_columns`).  Raises
+    CapExceeded when `exhaustive_work` exceeds `pair_cap`.
     """
     _check_shape(matrix, m, k)
     work = exhaustive_work(matrix.rows, matrix.cols, m, k)
@@ -260,37 +353,12 @@ def min_submatrix_rank_exhaustive(
             f"{work} work units exceed the work cap {pair_cap}; "
             "use min_submatrix_rank_sampled instead"
         )
-    # Gray-code walk: the i-th step flips row bit `b` and reaches combination g
-    gray = [(i ^ (i >> 1), (i & -i).bit_length() - 1) for i in range(1, 1 << m)]
-    budget = matrix.cols - k
     data = matrix.row_words
-    best = min(m, k) + 1
-    best_rows: tuple[int, ...] = ()
-    for rset in combinations(range(matrix.rows), m):
-        rows = [data[r] for r in rset]
-        combos = []
-        p = 0
-        for g, b in gray:
-            p ^= rows[b]
-            if p.bit_count() <= budget:
-                combos.append((g, p))
-        if len(combos) < (1 << (m - best + 1)) - 1:
-            continue  # too few to beat best: the search's first test, inlined
-        dim = _max_fit_dim(combos, budget, m - best)
-        if dim > m - best:
-            best = m - dim
-            best_rows = rset
-            if best == 0:
-                break
-
-    rows = [data[r] for r in best_rows]
-    for cset in combinations(range(matrix.cols), k):
-        cmask = 0
-        for c in cset:
-            cmask |= 1 << c
-        if _rank_of_words(v & cmask for v in rows) == best:
-            return best, best_rows, cset
-    raise AssertionError("no column set reaches the row set's minimum")
+    best, best_rows = _first_rows(data, m, matrix.cols - k, min(m, k) + 1) if m else (0, ())
+    cols = _first_columns([data[r] for r in best_rows], matrix.cols, k, best)
+    if cols is None:
+        raise AssertionError("no column set reaches the row set's minimum")
+    return best, best_rows, cols
 
 
 def min_submatrix_rank_sampled(

@@ -19,7 +19,14 @@ from widthlab import (
     sample_matrix,
     submatrix,
 )
-from widthlab.gf2 import DEFAULT_PAIR_CAP, exhaustive_work
+from widthlab.gf2 import (
+    DEFAULT_PAIR_CAP,
+    _check_shape,
+    _first_columns,
+    _max_fit_dim,
+    _rank_of_words,
+    exhaustive_work,
+)
 
 from conftest import rank_by_row_space
 
@@ -274,7 +281,11 @@ class TestMinSubmatrixRank:
         work = exhaustive_work(9, 9, 3, 6)
         assert work == math.comb(9, 3) * 2**3 + math.comb(9, 6)
         assert min_submatrix_rank_exhaustive(m, 3, 6, pair_cap=work) == column_scan_oracle(m, 3, 6)
-        with pytest.raises(CapExceeded, match="sampled"):
+        message = (
+            f"^{work} work units exceed the work cap {work - 1}; "
+            "use min_submatrix_rank_sampled instead$"
+        )
+        with pytest.raises(CapExceeded, match=message):
             min_submatrix_rank_exhaustive(m, 3, 6, pair_cap=work - 1)
 
 
@@ -341,6 +352,70 @@ def column_scan_oracle(
     return best, best_rows, best_cols
 
 
+# The row-combination search that the pruned prefix searches replaced, kept
+# verbatim (renamed) as the oracle for shapes past the column scan's reach:
+# a Gray-code walk over every row set's combinations, then a scan of every
+# column set for the witness.
+def row_combination_oracle(
+    matrix: BitMatrix,
+    m: int,
+    k: int,
+    pair_cap: int = DEFAULT_PAIR_CAP,
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Exact minimum GF(2) rank over all m x k submatrices, with a witness.
+
+    For a row set R and a column set C, rank(R[:,C]) = m - dim{x : supp(xR)
+    is disjoint from C}.  So a row set's minimum is m minus the largest
+    dim X_U = {x : supp(xR) <= U} over column sets U of at most cols - k
+    columns, found from R's 2**m row combinations without scanning columns.
+
+    The witness is the first pair achieving the minimum in lexicographic
+    (rowset, colset) order, as a scan of every pair would find it: row sets
+    are searched in `combinations` order and one is taken only when it
+    strictly beats the best so far, then the winning row set's column sets
+    are scanned in order for the first of that rank.  Raises CapExceeded when
+    `exhaustive_work` exceeds `pair_cap`.
+    """
+    _check_shape(matrix, m, k)
+    work = exhaustive_work(matrix.rows, matrix.cols, m, k)
+    if work > pair_cap:
+        raise CapExceeded(
+            f"{work} work units exceed the work cap {pair_cap}; "
+            "use min_submatrix_rank_sampled instead"
+        )
+    # Gray-code walk: the i-th step flips row bit `b` and reaches combination g
+    gray = [(i ^ (i >> 1), (i & -i).bit_length() - 1) for i in range(1, 1 << m)]
+    budget = matrix.cols - k
+    data = matrix.row_words
+    best = min(m, k) + 1
+    best_rows: tuple[int, ...] = ()
+    for rset in combinations(range(matrix.rows), m):
+        rows = [data[r] for r in rset]
+        combos = []
+        p = 0
+        for g, b in gray:
+            p ^= rows[b]
+            if p.bit_count() <= budget:
+                combos.append((g, p))
+        if len(combos) < (1 << (m - best + 1)) - 1:
+            continue  # too few to beat best: the search's first test, inlined
+        dim = _max_fit_dim(combos, budget, m - best)
+        if dim > m - best:
+            best = m - dim
+            best_rows = rset
+            if best == 0:
+                break
+
+    rows = [data[r] for r in best_rows]
+    for cset in combinations(range(matrix.cols), k):
+        cmask = 0
+        for c in cset:
+            cmask |= 1 << c
+        if _rank_of_words(v & cmask for v in rows) == best:
+            return best, best_rows, cset
+    raise AssertionError("no column set reaches the row set's minimum")
+
+
 def _words(n, seed, count):
     rng = SplitMix64(seed)
     return [rng.next_bits(n) for _ in range(count)]
@@ -386,6 +461,44 @@ class TestColumnScanOracle:
                 assert min_submatrix_rank_exhaustive(matrix, m, k) == column_scan_oracle(
                     matrix, m, k
                 ), (m, k)
+
+
+class TestRowCombinationOracle:
+    @pytest.mark.parametrize("n", range(14, 19))
+    def test_seeded_lemma_shapes(self, n):
+        # past what column_scan_oracle can afford: C(18, 6) * C(18, 12) pairs
+        m, k = n // 3, -(-2 * n // 3)
+        for seed in range(3 if n < 18 else 2):
+            matrix = sample_matrix(n, n, mix_seed(909, n, seed))
+            assert min_submatrix_rank_exhaustive(matrix, m, k) == row_combination_oracle(
+                matrix, m, k
+            ), (n, seed)
+
+    @pytest.mark.parametrize("matrix", _shape_cases())
+    def test_every_shape(self, matrix):
+        for m in range(matrix.rows + 1):
+            for k in range(matrix.cols + 1):
+                assert min_submatrix_rank_exhaustive(matrix, m, k) == row_combination_oracle(
+                    matrix, m, k
+                ), (m, k)
+
+
+class TestFirstColumns:
+    @pytest.mark.parametrize("matrix", _shape_cases())
+    def test_matches_the_combinations_scan(self, matrix):
+        # every row prefix, every k (0 and cols included) and every rank up to
+        # min(m, k), reachable or not: an unreachable rank gives None
+        data = matrix.row_words
+        for m in range(matrix.rows + 1):
+            rows = data[:m]
+            for k in range(matrix.cols + 1):
+                ranks = []
+                for cset in combinations(range(matrix.cols), k):
+                    cmask = sum(1 << c for c in cset)
+                    ranks.append((cset, _rank_of_words(v & cmask for v in rows)))
+                for mu in range(min(m, k) + 1):
+                    expected = next((cset for cset, r in ranks if r <= mu), None)
+                    assert _first_columns(rows, matrix.cols, k, mu) == expected, (m, k, mu)
 
 
 def _ones18():

@@ -27,6 +27,11 @@ def test_fill_timing_imports_resolve():
     assert callable(namespace["main"])
 
 
+def test_minimizer_timing_imports_resolve():
+    namespace = runpy.run_path(str(TOOLS / "minimizer_timing.py"), run_name="tools")
+    assert callable(namespace["main"])
+
+
 def test_knobs_are_exactly_the_pinned_list():
     # a new public default shows up in review as an edit to this list
     run = subprocess.run(
