@@ -77,8 +77,8 @@ scan's first split, the larger of g[{0}] = f_half[1] and g[V \\ {0}], the
 first on a tie: the very object the full DP returns, which matters only
 for an f whose equal values differ in type.
 
-The engine needs f(X) = f(V \\ X) and f(empty) = 0, and _audit_symmetry
-checks both, in one of two ways:
+The engine needs f(X) = f(V \\ X) and f(empty) = 0, and checks both in one
+of two ways:
 
 - The built-in cut-rank and boolean cut functions (CUT_RANK_FUNCTION and
   CUT_BOOL_FUNCTION, recognised by identity) are symmetric by theorem: a
@@ -88,9 +88,16 @@ checks both, in one of two ways:
   2^14 subsets at once, bit-sliced: each subset is one bit of every big int
   (_rank_half_table).  The boolean function is one walk over the subsets,
   each cell's row unions built from its parent subset's (_half_table).
-  They are audited on a seeded sample of subsets, once per call: when
-  tree_width_under re-checks the witness, or after the lower bound's fill.
-  tree_width_under and brute_force_f_width run that audit for every f.
+  They are audited on a seeded sample of 34 subsets, drawn once per n
+  (_symmetry_sample), once per call: when _verified re-checks the witness,
+  or after the lower bound's fill.  Each sampled pair's side without vertex
+  n - 1 is read from the half table and only the other side from the
+  kernel, so the fill is checked against the kernel, in 35 kernel calls
+  with f(empty), not 69.  A kernel wrong only on sides without n - 1
+  escapes it: the engines call the kernel on such sides only at the
+  witness's own cuts, which _verified compares with the DP's value.
+  tree_width_under and brute_force_f_width hold no table and evaluate both
+  sides of each pair.
 - Any other cut function, a copy of a built-in included, is evaluated on
   all 2^n subsets in ascending order, so an exception it raises comes
   before any ContractError.  Every complementary pair and f(empty) are
@@ -104,6 +111,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Callable, Iterable, Optional
 
@@ -272,16 +280,20 @@ def _bits_eval(graph: Graph, f: CutFunction) -> Callable[[int], float]:
     return lambda bits: ev(graph, Cut(bits, n))
 
 
-def _audit_symmetry(
+def _audit_pairs(
     f: CutFunction, val: Callable[[int], float], n: int, subsets: Iterable[int]
 ) -> None:
-    """Check f(X) = f(V \\ X) for each X in `subsets`, then f(empty) = 0."""
+    """Check f(X) = f(V \\ X) for each X in `subsets`, f(X) read first."""
     full = (1 << n) - 1
     for s in subsets:
         a, b = val(s), val(full ^ s)
         if not _agree(a, b):
             raise _asymmetry(f, s, a, b)
-    if abs(val(0)) > _SYMMETRY_TOL:
+
+
+def _audit_empty(f: CutFunction, value: float) -> None:
+    """Check f(empty) = 0, given f(empty)."""
+    if abs(value) > _SYMMETRY_TOL:
         raise ContractError(f"cut function {f.name!r} must vanish on the empty side")
 
 
@@ -293,12 +305,31 @@ def _asymmetry(f: CutFunction, s: int, a: float, b: float) -> ContractError:
     return ContractError(f"cut function {f.name!r} is not symmetric at subset {s:#x}: {a} vs {b}")
 
 
-def _spot_check_symmetry(graph: Graph, f: CutFunction, ev: Callable[[int], float]) -> None:
-    """Sampled symmetry audit: once per engine call, in tree_width_under or the lower bound."""
-    n = graph.n
+@cache
+def _symmetry_sample(n: int) -> tuple[int, ...]:
+    """The spot check's subsets at n: empty, V and min(32, 2^n) seeded draws, drawn once per n."""
     rng = SplitMix64(mix_seed(0x5F, n))
-    sample = [0, (1 << n) - 1] + [rng.next_bits(n) for _ in range(min(32, 1 << n))]
-    _audit_symmetry(f, ev, n, sample)
+    return (0, (1 << n) - 1) + tuple(rng.next_bits(n) for _ in range(min(32, 1 << n)))
+
+
+def _spot_check_symmetry(
+    graph: Graph, f: CutFunction, ev: Callable[[int], float], f_half: Optional[list[float]]
+) -> None:
+    """Sampled symmetry audit, once per engine call, then f(empty) = 0 by the kernel ev.
+
+    With f's half table, each pair's side without vertex n - 1 is read from
+    it and only the other side is evaluated; without one, both sides are.
+    """
+    n = graph.n
+    val = ev
+    if f_half is not None:
+        half = len(f_half)
+
+        def val(s: int) -> float:
+            return f_half[s] if s < half else ev(s)
+
+    _audit_pairs(f, val, n, _symmetry_sample(n))
+    _audit_empty(f, ev(0))
 
 
 def _half_table(graph: Graph, f: CutFunction) -> list[float]:
@@ -323,7 +354,7 @@ def _half_table(graph: Graph, f: CutFunction) -> list[float]:
                 bad = full ^ u, b
         if bad is not None:
             raise _asymmetry(f, bad[0], table[bad[0]], bad[1])
-        _audit_symmetry(f, table.__getitem__, n, ())  # f(empty) only
+        _audit_empty(f, table[0])
         return table
     # The walk visits each subset Y once, as X + {v} with v above X's top
     # vertex, and builds Y's row unions from X's, both on m = V \ Y: each
@@ -441,12 +472,19 @@ def _lane_ranks(adj: tuple[int, ...], inside: list[int], ones: int) -> bytes:
 
 def tree_width_under(graph: Graph, tree: DecompositionTree, f: CutFunction) -> WidthResult:
     """Width of one decomposition tree: max of f over its edge-induced cuts."""
+    return _tree_width(graph, tree, f, None)
+
+
+def _tree_width(
+    graph: Graph, tree: DecompositionTree, f: CutFunction, f_half: Optional[list[float]]
+) -> WidthResult:
+    """tree_width_under, its spot check reading f_half if given."""
     if tree.n_leaves != graph.n:
         raise StructureError(f"tree has {tree.n_leaves} leaves for a graph on {graph.n} vertices")
     if graph.n <= 1:
         return WidthResult(0.0, tree, Cut(0, graph.n))
     ev = _bits_eval(graph, f)
-    _spot_check_symmetry(graph, f, ev)
+    _spot_check_symmetry(graph, f, ev, f_half)
     best = -math.inf
     best_cut = None
     for cut in tree_cuts(tree):
@@ -458,10 +496,14 @@ def tree_width_under(graph: Graph, tree: DecompositionTree, f: CutFunction) -> W
 
 
 def _verified(
-    graph: Graph, f: CutFunction, value: float, tree: DecompositionTree
+    graph: Graph,
+    f: CutFunction,
+    value: float,
+    tree: DecompositionTree,
+    f_half: Optional[list[float]] = None,
 ) -> WidthResult:
-    """An exact engine's width and witness, once tree_width_under re-evaluates the tree."""
-    check = tree_width_under(graph, tree, f)
+    """An exact engine's width and witness, once the kernel re-evaluates the tree's cuts."""
+    check = _tree_width(graph, tree, f, f_half)
     if check.value != value:
         raise AssertionError(
             f"witness tree re-evaluates to {check.value}, the engine computed {value}"
@@ -487,8 +529,8 @@ def exact_f_width(
 
     The subset DP of the module docstring, at most O(3^n) side lookups on
     f's half table, run on the sets without vertex 0 (_exact_width).  The
-    witness tree is the full DP's, rebuilt and re-evaluated with
-    tree_width_under; ties between optimal splits resolve to the
+    witness tree is the full DP's, rebuilt and its cuts re-evaluated by the
+    kernel (_verified); ties between optimal splits resolve to the
     numerically smallest side, so it is deterministic.
     """
     n = graph.n
@@ -514,7 +556,7 @@ def _exact_width(graph: Graph, f: CutFunction, f_half: list[float]) -> WidthResu
     _subset_dp(g)
     tree = _witness_tree(lambda s: _best_split(g, s >> 1)[1] << 1, n, 1)
     a, b = f_half[1], g[-1]
-    return _verified(graph, f, a if a >= b else b, tree)
+    return _verified(graph, f, a if a >= b else b, tree, f_half)
 
 
 def _subset_dp(g: list[float]) -> None:
@@ -791,7 +833,7 @@ def balanced_cut_lower_bound(
     n = graph.n
     _check_balanced_n(n, n_cap)
     f_half = _half_table(graph, f)
-    _spot_check_symmetry(graph, f, _bits_eval(graph, f))
+    _spot_check_symmetry(graph, f, _bits_eval(graph, f), f_half)
     best, bits = _balanced_min(f_half)
     return best, Cut(bits, n)
 

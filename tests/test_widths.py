@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import sys
 import tracemalloc
 from itertools import combinations
@@ -961,9 +962,11 @@ class TestHalfFilledCutTable:
             exact_f_width(sample_gnp_half(6, 1), copy)
 
     def test_builtins_audited_once_per_call(self, monkeypatch):
-        # The fill makes no per-subset kernel call, so only the 69
-        # evaluations of the seeded sample audit at the witness re-check and
-        # the witness tree's 2n - 3 cuts are counted.
+        # The fill makes no per-subset kernel call.  The seeded sample audit
+        # reads one side of each of its 34 pairs from the half table, so it
+        # evaluates the other side and f(empty): 35 calls, at the witness
+        # re-check (with the witness tree's 2n - 3 cuts) and after the lower
+        # bound's fill.
         counts = {"rank": 0, "bool": 0}
 
         def counting(key, inner):
@@ -981,7 +984,9 @@ class TestHalfFilledCutTable:
         g = sample_gnp_half(n, 4)
         for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
             exact_f_width(g, f)
-            assert counts[f.name] == 69 + (2 * n - 3) == 86
+            assert counts[f.name] == 35 + (2 * n - 3) == 52
+            balanced_cut_lower_bound(g, f)
+            assert counts[f.name] == 52 + 35
 
     def test_asymmetric_builtin_still_rejected(self, monkeypatch):
         # Skewed only on sides with more than n/2 vertices.  The fill never
@@ -994,6 +999,72 @@ class TestHalfFilledCutTable:
         monkeypatch.setattr(widths, "_cut_rank_bits", skewed)
         with pytest.raises(ContractError, match="'rank' is not symmetric"):
             exact_f_width(sample_gnp_half(8, 1), CUT_RANK_FUNCTION)
+
+
+class TestTableSideAudit:
+    """With the half table at hand, the spot check reads each sampled pair's
+    side without vertex n - 1 from it and evaluates only the other side."""
+
+    def test_sample_drawn_once_per_n_and_unchanged(self):
+        for n in range(1, 23):
+            rng = SplitMix64(mix_seed(0x5F, n))
+            drawn = [0, (1 << n) - 1] + [rng.next_bits(n) for _ in range(min(32, 1 << n))]
+            assert list(widths._symmetry_sample(n)) == drawn
+            assert widths._symmetry_sample(n) is widths._symmetry_sample(n)
+
+    def test_wrong_fill_cell_rejected(self, monkeypatch):
+        # one cell of the fill is shifted at a sampled subset; the table side
+        # of that pair no longer matches the kernel's value on the other side
+        n = 10
+        half, full = 1 << (n - 1), (1 << n) - 1
+        sample = widths._symmetry_sample(n)
+        cell = next(s for s in sample if 0 < s < half)
+        assert next(s for s in sample if s in (cell, full ^ cell)) == cell
+        fill = widths._half_table
+
+        def shifted(graph, f):
+            table = fill(graph, f)
+            table[cell] += 1.0
+            return table
+
+        monkeypatch.setattr(widths, "_half_table", shifted)
+        g = sample_gnp_half(n, 1)
+        for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+            good = _bits_eval(g, f)(cell)
+            pair = f"subset {cell:#x}: {good + 1.0} vs {good}"
+            message = re.escape(f"'{f.name}' is not symmetric at {pair}")
+            for run in (exact_f_width, balanced_cut_lower_bound):
+                with pytest.raises(ContractError, match=message):
+                    run(g, f)
+
+    def test_kernel_skewed_on_the_upper_sides_rejected(self, monkeypatch):
+        # the kernel is wrong only on sides holding vertex n - 1, the sides
+        # the audit evaluates; the fill calls no kernel and stays right
+        n = 10
+        top = 1 << (n - 1)
+
+        def skewed(inner):
+            return lambda graph, bits: inner(graph, bits) + (1 if bits & top else 0)
+
+        monkeypatch.setattr(widths, "_cut_rank_bits", skewed(_cut_rank_bits))
+        monkeypatch.setattr(boolspace, "_cut_bool_count_bits", skewed(_cut_bool_count_bits))
+        g = sample_gnp_half(n, 1)
+        for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+            for run in (exact_f_width, balanced_cut_lower_bound):
+                with pytest.raises(ContractError, match=f"'{f.name}' is not symmetric"):
+                    run(g, f)
+
+    def test_matches_the_two_sided_recheck(self):
+        # tree_width_under keeps the two-sided audit: the slow path, an
+        # oracle for the engine's re-check of its own witness
+        for n in range(3, 13):
+            g = sample_gnp_half(n, mix_seed(22, n))
+            for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                res = exact_f_width(g, f)
+                check = tree_width_under(g, res.witness_tree, f)
+                assert repr(res.value) == repr(check.value)
+                assert res.witness_cut == check.witness_cut
+                assert emit_tree(res.witness_tree) == emit_tree(check.witness_tree)
 
 
 def per_subset_balanced_min(graph, f):

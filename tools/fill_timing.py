@@ -14,9 +14,13 @@ widths._exact_width makes, the sets without vertex 0), as every engine runs
 it: the sets below 10 vertices by the ascending scan, the wider ones
 by threshold bitsets (the built-ins' tables hold at most 256 distinct
 values).  At n = 10, 14 and 16 it times exact_f_width and
-balanced_cut_lower_bound end to end for each built-in.  Each figure is the
-median of REPEATS wall times, the calls of one row alternating.  Prints one
-JSON object.
+balanced_cut_lower_bound end to end for each built-in.  At n = 10 and 14
+it times the witness re-check alone for each built-in (widths._verified on
+exact_f_width's witness, VERIFY_LOOPS calls a timing): the engines' audit,
+which reads one side of each sampled pair from the half table, against the
+two-sided audit of tree_width_under.  Each figure is the median of REPEATS
+wall times per call, to 4 significant digits, the calls of one row
+alternating.  Prints one JSON object.
 
     PYTHONPATH=src python3 tools/fill_timing.py
 """
@@ -31,28 +35,49 @@ from widthlab import CUT_BOOL_FUNCTION, CUT_RANK_FUNCTION, sample_gnp_half
 from widthlab.widths import (
     _half_table,
     _subset_dp,
+    _verified,
     balanced_cut_lower_bound,
     exact_f_width,
 )
 
 REPEATS = 5
+VERIFY_LOOPS = 100
 
 
-def _median_s(calls):
-    """Median wall time of each call, REPEATS rounds, the calls alternating."""
+def _median_s(calls, loops=1):
+    """Median wall time per call, REPEATS rounds of `loops` calls each, the calls alternating."""
     times = [[] for _ in calls]
     for _ in range(REPEATS):
         for call, ts in zip(calls, times):
             t = time.perf_counter()
-            call()
-            ts.append(time.perf_counter() - t)
-    return [round(statistics.median(ts), 4) for ts in times]
+            for _ in range(loops):
+                call()
+            ts.append((time.perf_counter() - t) / loops)
+    return [float(f"{statistics.median(ts):.4g}") for ts in times]
 
 
 def _split_loop_row(g, f) -> dict:
     low = _half_table(g, f)
     (leaf,) = _median_s([lambda: _subset_dp(low[::2] + low[::-2])])
     return {"layer": f"split_loop.{f.name}", "n": g.n, "leaf_s": leaf}
+
+
+def _reverify_row(g, f) -> dict:
+    table = _half_table(g, f)
+    res = exact_f_width(g, f)
+    table_side, two_sided = _median_s(
+        [
+            lambda: _verified(g, f, res.value, res.witness_tree, table),
+            lambda: _verified(g, f, res.value, res.witness_tree),
+        ],
+        VERIFY_LOOPS,
+    )
+    return {
+        "layer": f"reverify.{f.name}",
+        "n": g.n,
+        "table_s": table_side,
+        "two_sided_s": two_sided,
+    }
 
 
 def main() -> None:
@@ -69,6 +94,8 @@ def main() -> None:
                 [lambda: exact_f_width(g, f), lambda: balanced_cut_lower_bound(g, f)]
             )
             rows.append({"layer": f"engines.{f.name}", "n": n, "width_s": width, "lb_s": bound})
+            if n < 16:
+                rows.append(_reverify_row(g, f))
     for n in (18, 22):
         g = sample_gnp_half(n, 1)
         (half,) = _median_s([lambda: _half_table(g, CUT_RANK_FUNCTION)])
