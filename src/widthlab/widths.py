@@ -30,30 +30,45 @@ rebuilt from the exact g afterwards, by a full ascending scan at each of the
 tree's own n - 2 internal nodes.  Ties between optimal splits resolve to
 the numerically smallest side, so the witness is deterministic.
 
-Nearly all sides the DP visits belong to its few wide sets, those of at
-least _WIDE = 10 vertices (2^9 - 1 sides or more), and a wide set whose
-scan does not stop early visits them all.  So _subset_dp scans the
-narrower sets first and then decides each wide set for all its sides at
-once, in big-int bitsets (_wide_dp), unless its scan stops within its
-first 15 sides, the subsets of its lowest _PRESCAN = 4 side vertices
-(_best_split runs that short scan).  For a distinct table value k, bit T
-of B_k is set iff g[T] <= k.  Reversed over the table's bits, B_k turns
-the other side S \\ T into a shift, so B_k, its reversal shifted and a mask
-of S's sides give, in two ANDs, every side T with g[T] <= k and
-g[S \\ T] <= k.  A binary search over the distinct values finds the least
-such k, which is c(S).  The lowest side that passes at c(S) is the first
-side of the ascending scan to reach c(S), where the scan's strictly
-improving best settles, so g[S] is set to the scan's very object, the
-larger of g[T] and g[S \\ T] (g[T] on a tie).  The bitsets are built once
-per value, when first asked for, from a one-byte number per cell, and a
-set whose g rises clears its bit in the bitsets it no longer passes.  A
-table of more than 256 distinct values has no such numbers and is scanned
-set by set: each value probed would cost a pass over all cells and two
-bitsets kept to the end, and a weighted edge cut with 11,130 values took
-10.3 s by bitsets against 0.21 s by the scan at n = 16.  The built-in
+_subset_dp runs a table of at least 2^_WIDE = 1024 cells holding at most
+256 distinct values a popcount layer at a time (_layered_dp), one bit per
+set in big ints.  Nearly every set stops early, and most at a one-vertex
+side: in the cut-rank DPs of G(14, 1/2), seeds mix_seed(1..3, 14, 0),
+23,958 of the 24,534 sets stop early and 23,107 of them at a one-vertex
+side.  The layer certificate settles those in bitsets.  A set S with a
+vertex v such that f({v}) <= f(S), f(S - {v}) <= f(S) and g[S - {v}] still
+f(S - {v})'s own object has the split {v}, S - {v} of value <= f(S), so
+the scan of S would stop and leave g[S] = f(S), and the certificate leaves
+that cell untouched.  Bit-sliced comparisons of f's numbers give, once per
+vertex, the sets passing the two f tests; a layer's certified sets are
+then a few hundred big-int operations, since every set S - {v} lies in the
+layer below, whose sets that kept f's object are known.  Testing f(S - {v})
+alone would be wrong: g[S - {v}] may have risen above f(S).  The other sets
+of the layer are worked one by one, in any order, since only lower layers
+are read.  A set below _WIDE vertices is scanned.  A wider set has 2^9 - 1
+sides or more, and one whose scan does not stop early visits them all, so
+it is decided for all its sides at once, in threshold bitsets, unless its
+scan stops within its first 15 sides, the subsets of its lowest
+_PRESCAN = 4 side vertices (_best_split runs that short scan).  For a
+distinct table value k, bit T of B_k is set iff g[T] <= k.  Reversed over
+the table's bits, B_k turns the other side S \\ T into a shift, so B_k, its
+reversal shifted and a mask of S's sides give, in two ANDs, every side T
+with g[T] <= k and g[S \\ T] <= k.  A binary search over the distinct
+values finds the least such k, which is c(S).  The lowest side that passes
+at c(S) is the first side of the ascending scan to reach c(S), where the
+scan's strictly improving best settles, so g[S] is set to the scan's very
+object, the larger of g[T] and g[S \\ T] (g[T] on a tie).  So every cell
+ends as the object the plain scan leaves.  The bitsets are built when first
+asked for, from bit planes of a one-byte number per cell, and a set whose g
+rises clears its bit in the bitsets it no longer passes.
+
+A smaller table, such as every DP at n <= 10, and a table of more than 256
+distinct values are scanned set by set in ascending order.  The latter has
+no one-byte numbers, and each value probed would cost a pass over all cells
+and two bitsets kept to the end: a weighted edge cut with 11,130 values
+took 10.3 s by bitsets against 0.21 s by the scan at n = 16.  The built-in
 functions stay far below that: on G(18, 1/2) cut-rank has 10 values and
-the boolean function 64-93.  The DP runs on n - 1 vertices, so only graphs
-from n = 11 up have wide sets; at n = 14 they are 378 of the 8,192 sets.
+the boolean function 64-93.
 
 Every cut function is tabulated once, by _half_table, on the 2^(n-1)
 subsets without vertex n - 1: exactly the indices below 2^(n-1), so this is
@@ -112,7 +127,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Callable, Iterable, Optional
 
 from .boolspace import _cut_bool_bits, cut_bool
@@ -562,27 +577,22 @@ def _exact_width(graph: Graph, f: CutFunction, f_half: list[float]) -> WidthResu
 def _subset_dp(g: list[float]) -> None:
     """The DP over the whole table: g[S] = f(S) becomes max(f(S), c(S)) for every S.
 
-    len(g) is a power of two.  If g holds at most 256 distinct values, the
-    sets below _WIDE vertices are scanned first and then the wide ones are
-    decided by threshold bitsets (_wide_dp); otherwise every set is scanned.
-    Either way the sets go in ascending order, so every subset of a set is
-    final before the set is.
+    len(g) is a power of two.  A table of at least 2^_WIDE cells holding at
+    most 256 distinct values is run a popcount layer at a time (_layered_dp);
+    any other table is scanned set by set in ascending order.  Either way
+    every subset of a set is final before the set is.
     """
-    # only a table of 2^_WIDE cells or more has wide sets; a smaller one
-    # skips the per-set size test
+    # only a table of 2^_WIDE cells or more has wide sets
     values = sorted(set(g)) if len(g) >> _WIDE else []
-    bitsets = 0 < len(values) <= 256
-    wide = []
+    if 0 < len(values) <= 256:
+        _layered_dp(g, values)
+        return
     for s in range(3, len(g)):
-        if bitsets and s.bit_count() >= _WIDE:
-            wide.append(s)
-        elif s & (s - 1):
+        if s & (s - 1):
             fs = g[s]
             best = _best_split(g, s, fs)[0]
             if best > fs:
                 g[s] = best
-    if wide:
-        _wide_dp(g, wide, values)
 
 
 # a set of at least _WIDE vertices is decided by threshold bitsets unless
@@ -592,78 +602,164 @@ _WIDE = 10
 _PRESCAN = 4
 # byte b -> b with its 8 bits in reverse order
 _REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# byte b -> the positions of its set bits
+_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
+# the delta swaps that transpose each 8 x 8 bit block of a 64-bit word
+_TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
-def _wide_dp(g: list[float], wide: list[int], values: list[float]) -> None:
-    """The DP's wide sets, in ascending order, decided by threshold bitsets.
+def _planes(code: bytes, count: int) -> list[int]:
+    """The lowest `count` bit planes of code: bit S of plane j is bit j of code[S].
 
-    values are g's distinct values in order, at most 256 of them, and
-    code[i] is the number of g[i] among them.  For a number k, bit i of B_k
-    is set iff code[i] <= k, and R_k is B_k reversed over the len(g) bits:
-    bit full ^ i of R_k is bit i of B_k.  For a set S with C = full ^ S and
-    a side T of S, bit T of R_k >> C is bit full ^ (T | C) = S ^ T of B_k,
-    so the sides passing at k, g[T] <= k and g[S ^ T] <= k, are the bits of
-    B_k & (R_k >> C) & M_S, M_S holding the non-empty subsets of S without
-    its top vertex.  c(S) is the least k at which a side passes; the lowest
-    such side is the one the ascending scan keeps, so g[S] is the scan's
-    object.
+    len(code) is a multiple of 8.  In int.from_bytes(code) byte S holds
+    code[S]; transposing each 8 x 8 bit block in place leaves in byte 8b + j
+    bit j of the cells 8b..8b+7, so plane j is every eighth byte from j.
+    """
+    x = int.from_bytes(code, "little")
+    words = len(code) >> 3
+    for shift, mask in _TRANSPOSE:
+        t = (x ^ x >> shift) & int.from_bytes(mask.to_bytes(8, "little") * words, "little")
+        x ^= t ^ t << shift
+    rows = x.to_bytes(len(code), "little")
+    return [int.from_bytes(rows[j::8], "little") for j in range(count)]
+
+
+def _not_above(a: list[int], b: list[int], lanes: int) -> int:
+    """The bits of lanes where the number in planes a is <= the number in planes b."""
+    less = 0
+    for x, y in zip(reversed(a), reversed(b)):
+        differ = lanes & (x ^ y)
+        less |= differ & y
+        lanes ^= differ
+    return less | lanes
+
+
+def _layered_dp(g: list[float], values: list[float]) -> None:
+    """The DP a popcount layer at a time, most sets settled by bitsets.
+
+    values are g's distinct values in order, at most 256 of them, and a
+    set's number is that of its g among them.  A lane int has one bit per
+    set, bit S for set S, and planes[j] holds bit j of every set's number,
+    kept current as g rises.
+
+    The layer certificate.  For a vertex v and a set S holding v, bit S of
+    ok[v] is set iff f(S - {v}) <= f(S) and f({v}) <= f(S): the planes
+    shifted by 2^v, whose bit S is that of set S - 2^v, compared bit-sliced
+    with the planes themselves.  same holds the sets of the layer below
+    whose g is still f's own object.  A set S of layer L with S - {v} in
+    same and S in ok[v] has the split {v}, S - {v} of value <= f(S), so the
+    scan of S stops early and leaves g[S] = f(S): those sets are settled
+    by OR_v ((same << 2^v) & ok[v]), masked to layer L, and their cells are
+    not touched.  A bit of same << 2^v that lands in layer L is a set
+    R + 2^v with R in layer L - 1 and no carry, so v is not in R and the
+    bits of ok[v] for sets without v are never read.
+
+    The other sets of the layer are worked one at a time, and a set joins
+    same when its g stays f(S).  A narrow set is scanned by _best_split.  A
+    wide one, of _WIDE vertices or more, stops at a short pre-scan or is
+    decided by threshold bitsets.  For a number k, bit i of B_k is set iff
+    g[i]'s number is <= k, and R_k is B_k reversed over the len(g) bits.
+    For a set S with C = full ^ S and a side T of S, bit T of R_k >> C is
+    bit S ^ T of B_k, so the sides passing at k, g[T] <= k and
+    g[S ^ T] <= k, are the bits of B_k & (R_k >> C) & M_S, M_S holding the
+    non-empty subsets of S without its top vertex.  c(S) is the least k at
+    which a side passes; the lowest such side is the one the ascending scan
+    keeps, so g[S] is the scan's object.  B_k and R_k are built when first
+    asked for and kept current as g rises.
     """
     size = len(g)
     full = size - 1
     ones = (1 << size) - 1
-    # without[v]: bit T set iff T does not hold vertex v
-    without = [ones ^ p for p in _bit_patterns(full.bit_length())]
     number = {v: k for k, v in enumerate(values)}
     code = bytearray(map(number.__getitem__, g))
-    cache: dict = {}  # k -> [B_k, R_k], kept current as g rises
+    depth = (len(values) - 1).bit_length()
+    planes = _planes(code, depth)
+
+    def constant(k: int) -> list[int]:
+        return [ones if k >> j & 1 else 0 for j in range(depth)]
+
+    ok = []
+    layers = [1]  # layers[L]: the sets of L vertices
+    for v in range(full.bit_length()):
+        step = 1 << v
+        # code({v}) <= code(S), then code(S - 2^v) <= code(S)
+        lanes = _not_above(constant(code[step]), planes, ones)
+        ok.append(_not_above([p << step for p in planes], planes, lanes))
+        layers = [a | b << step for a, b in zip(layers + [0], [0] + layers)]
+    cache: dict = {}  # k -> [B_k, R_k]
 
     def passing(k: int, m: int, c: int) -> int:
         bits = cache.get(k)
         if bits is None:
-            cells = code.translate(bytes(map(k.__ge__, range(256))))
-            b = 0
-            for j in range(8):
-                b |= int.from_bytes(cells[j::8], "little") << j
+            b = _not_above(planes, constant(k), ones)
             r = b.to_bytes(size >> 3, "little")[::-1].translate(_REVERSE)
             bits = cache[k] = [b, int.from_bytes(r, "little")]
-        return bits[0] & m & (bits[1] >> c)
+        return m & bits[0] & (bits[1] >> c)
 
-    for s in wide:
-        rest = s ^ (1 << (s.bit_length() - 1))
-        # the scan's first sides, the subsets of rest's lowest _PRESCAN
-        # vertices; if they stop it, g[S] stays f(S)
-        high = rest
-        for _ in range(_PRESCAN):
-            high &= high - 1
-        fs = g[s]
-        best = _best_split(g, s, fs, rest ^ high)[0]
-        if best <= fs:
-            continue
-        c = full ^ s
-        m = ones ^ 1
-        for v, clear in enumerate(without):
-            if not rest >> v & 1:
-                m &= clear
-        # the least k with a passing side, between f(S) and the scan's best
-        lo = low = code[s]
-        hi = number[best]
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if passing(mid, m, c):
-                hi = mid
-            else:
-                lo = mid + 1
-        if hi == low:
-            continue
-        p = passing(hi, m, c)
-        t = (p & -p).bit_length() - 1
-        a, b = g[t], g[s ^ t]
-        g[s] = a if a >= b else b
-        code[s] = hi
-        for k, bits in cache.items():
-            if low <= k < hi:
-                bits[0] ^= 1 << s
-                bits[1] ^= 1 << c
+    same = layers[1]
+    for layer in range(2, len(layers)):
+        sets = layers[layer]
+        certified = 0
+        for v, passes in enumerate(ok):
+            certified |= same << (1 << v) & passes
+        certified &= sets
+        todo = (sets ^ certified).to_bytes(size >> 3, "little")
+        kept = bytearray(todo)  # the sets of todo whose g stays f(S)
+        for i in compress(range(len(todo)), todo):
+            for j in _BITS[todo[i]]:
+                s = i << 3 | j
+                fs = g[s]
+                if layer < _WIDE:
+                    best = _best_split(g, s, fs)[0]
+                    if best <= fs:
+                        continue
+                    hi = number[best]
+                else:
+                    rest = s ^ (1 << (s.bit_length() - 1))
+                    # the scan's first sides, the subsets of rest's lowest
+                    # _PRESCAN vertices; if they stop it, g[S] stays f(S)
+                    high = rest
+                    for _ in range(_PRESCAN):
+                        high &= high - 1
+                    best = _best_split(g, s, fs, rest ^ high)[0]
+                    if best <= fs:
+                        continue
+                    # M_S by doubling over rest's vertices
+                    m, r = 1, rest
+                    while r:
+                        bit = r & -r
+                        m |= m << bit
+                        r ^= bit
+                    m ^= 1
+                    c = full ^ s
+                    # the least k with a passing side, between f(S) and the
+                    # pre-scan's best
+                    lo = number[fs]
+                    hi = number[best]
+                    while lo < hi:
+                        mid = (lo + hi) >> 1
+                        if passing(mid, m, c):
+                            hi = mid
+                        else:
+                            lo = mid + 1
+                    if hi == number[fs]:
+                        continue
+                    p = passing(hi, m, c)
+                    t = (p & -p).bit_length() - 1
+                    a, b = g[t], g[s ^ t]
+                    best = a if a >= b else b
+                g[s] = best
+                low = number[fs]
+                bit = 1 << s
+                for d, p in enumerate(planes):
+                    if (low ^ hi) >> d & 1:
+                        planes[d] = p ^ bit
+                for k, bits in cache.items():
+                    if low <= k < hi:
+                        bits[0] ^= bit
+                        bits[1] ^= 1 << (full ^ s)
+                kept[i] ^= 1 << j
+        same = certified | int.from_bytes(kept, "little")
 
 
 def _best_split(

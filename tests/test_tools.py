@@ -25,6 +25,8 @@ def test_fill_timing_imports_resolve():
     # must still resolve
     namespace = runpy.run_path(str(TOOLS / "fill_timing.py"), run_name="tools")
     assert callable(namespace["main"])
+    assert callable(namespace["_scaling_trial"])
+    assert callable(namespace["_scaling_trial_row"])
 
 
 def test_minimizer_timing_imports_resolve():

@@ -611,8 +611,8 @@ class TestWideSetsByBitsets:
     def test_bitsets_up_to_a_byte_of_values(self, monkeypatch, count, bitsets):
         # SPREAD_VALUES's table at n = 13 cut down to count distinct values,
         # in the same order; past 256 every set is scanned
-        calls, wide_dp = [], widths._wide_dp
-        monkeypatch.setattr(widths, "_wide_dp", lambda *a: calls.append(wide_dp(*a)))
+        calls, layered_dp = [], widths._layered_dp
+        monkeypatch.setattr(widths, "_layered_dp", lambda *a: calls.append(layered_dp(*a)))
         spread = _half_table(empty_graph(13), SPREAD_VALUES)
         values = sorted(set(spread))
         number = {v: k * count // len(values) for k, v in enumerate(values)}
@@ -635,6 +635,87 @@ class TestWideSetsByBitsets:
                 self.assert_same(_half_table(g, dataclasses.replace(f)))
             for f in (MIXED_MIN_SIDE, HALF_MIN_SIDE, SPREAD_VALUES):
                 self.assert_same(_half_table(g, f))
+
+
+class TestLayerCertificate:
+    """_subset_dp settles a popcount layer's sets by one-vertex splits in
+    bitsets (_layered_dp) and works only the rest; every cell must hold the
+    very object the scan DP leaves there."""
+
+    def assert_same(self, low):
+        got, ref = list(low), list(low)
+        _subset_dp(got)
+        scan_subset_dp(ref, len(ref))
+        assert all(a is b for a, b in zip(got, ref))
+
+    @staticmethod
+    def leaf_rooted(low):
+        """The table that _exact_width hands the DP: f on the sets without vertex 0."""
+        return low[::2] + low[::-2]
+
+    def test_builtins(self, monkeypatch):
+        calls, planes = [], widths._planes
+        monkeypatch.setattr(widths, "_planes", lambda *a: calls.append(a) or planes(*a))
+        rng = SplitMix64(2323)
+        for n in range(3, 17):
+            g = sample_gnp_half(n, rng.next_word())
+            for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                low = _half_table(g, f)
+                self.assert_same(self.leaf_rooted(low))
+                self.assert_same(low)
+        # the lanes ran on the tables of 2^10 cells or more: n = 11..16
+        assert len(calls) == 2 * 2 * 6
+
+    def test_copies_of_the_builtins(self):
+        rng = SplitMix64(2424)
+        for n in range(3, 14):
+            g = sample_gnp_half(n, rng.next_word())
+            for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                self.assert_same(self.leaf_rooted(_half_table(g, dataclasses.replace(f))))
+
+    def test_tie_heavy_custom_functions(self):
+        rng = SplitMix64(2525)
+        for n in range(3, 14):
+            g = sample_gnp_half(n, rng.next_word())
+            for f in (MIXED_MIN_SIDE, HALF_MIN_SIDE, INT_MIN_SIDE):
+                low = _half_table(g, f)
+                self.assert_same(self.leaf_rooted(low))
+                self.assert_same(low)
+
+    def test_named_graphs(self):
+        for n in range(3, 15):
+            for g in (empty_graph(n), complete_graph(n), _star(n, 0), _star(n, n - 1)):
+                for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                    self.assert_same(self.leaf_rooted(_half_table(g, f)))
+
+    def test_certifies_only_through_sets_that_kept_f(self):
+        # f({0}) = f({1}) = 2 and f({0, 1, 2}) = 1 on 10 vertices, 0 elsewhere.
+        # S = {0, 1, 2} and v = 2 have f(S - {v}) = 0 <= f(S) and f({v}) <= f(S),
+        # but g[{0, 1}] rises to 2, as do g[{0, 2}] and g[{1, 2}], so every
+        # split of S has value 2 and g[S] rises too.  A certificate read from
+        # f alone would leave g[S] = f(S).
+        low = [float(x) for x in [0] * (1 << 10)]
+        low[0b1], low[0b10], low[0b111] = 2.0, 2.0, 1.0
+        got = list(low)
+        _subset_dp(got)
+        assert got[0b11] == got[0b111] == 2.0
+        self.assert_same(low)
+
+    @pytest.mark.parametrize(
+        "n, function", [(10, CUT_RANK_FUNCTION), (10, CUT_BOOL_FUNCTION), (13, SPREAD_VALUES)]
+    )
+    def test_no_lane_planes_below_the_bound(self, monkeypatch, n, function):
+        # a table of 2^9 cells, as is every DP at n = 10, and a table of more
+        # than 256 values are scanned set by set
+        calls, planes = [], widths._planes
+        monkeypatch.setattr(widths, "_planes", lambda *a: calls.append(a) or planes(*a))
+        g = sample_gnp_half(n, 7)
+        low = _half_table(g, function)
+        assert len(low) == 1 << (n - 1)
+        self.assert_same(self.leaf_rooted(low))
+        if n == 10:
+            exact_f_width(g, function)
+        assert calls == []
 
 
 class TestFullTableOracle:

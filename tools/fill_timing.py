@@ -8,19 +8,22 @@ each cell built from its parent subset's state.  It times the same for a
 dataclasses.replace copy of each, which calls the per-subset kernel on all
 2^n subsets and audits every pair.  At n = 18 and 22 it times the built-in
 cut-rank fill alone (the boolean walk takes half a minute at n = 22).  At
-n = 14, 16 and 18 it times the split loop alone for each built-in
+n = 12, 14, 16 and 18 it times the split loop alone for each built-in
 (widths._subset_dp on the re-indexed copy of a filled half table that
 widths._exact_width makes, the sets without vertex 0), as every engine runs
-it: the sets below 10 vertices by the ascending scan, the wider ones
-by threshold bitsets (the built-ins' tables hold at most 256 distinct
-values).  At n = 10, 14 and 16 it times exact_f_width and
+it from n = 11 up: a popcount layer at a time, the sets that a one-vertex
+split stops settled in bitsets, the rest scanned below 10 vertices and
+decided by threshold bitsets from 10 up (the built-ins' tables hold at most
+256 distinct values).  At n = 10, 14 and 16 it times exact_f_width and
 balanced_cut_lower_bound end to end for each built-in.  At n = 10 and 14
 it times the witness re-check alone for each built-in (widths._verified on
 exact_f_width's witness, VERIFY_LOOPS calls a timing): the engines' audit,
 which reads one side of each sampled pair from the half table, against the
-two-sided audit of tree_width_under.  Each figure is the median of REPEATS
-wall times per call, to 4 significant digits, the calls of one row
-alternating.  Prints one JSON object.
+two-sided audit of tree_width_under.  At n = 14 it times whole
+experiments._scaling_trial calls (both half tables, the balanced bound and
+both DPs), the mean over the graphs of seeds mix_seed(1..5, 14, 0).  Each
+figure is the median of REPEATS wall times per call, to 4 significant
+digits, the calls of one row alternating.  Prints one JSON object.
 
     PYTHONPATH=src python3 tools/fill_timing.py
 """
@@ -31,7 +34,14 @@ import platform
 import statistics
 import time
 
-from widthlab import CUT_BOOL_FUNCTION, CUT_RANK_FUNCTION, sample_gnp_half
+from widthlab import (
+    CUT_BOOL_FUNCTION,
+    CUT_RANK_FUNCTION,
+    ExperimentConfig,
+    mix_seed,
+    sample_gnp_half,
+)
+from widthlab.experiments import _scaling_trial
 from widthlab.widths import (
     _half_table,
     _subset_dp,
@@ -80,8 +90,16 @@ def _reverify_row(g, f) -> dict:
     }
 
 
+def _scaling_trial_row(n: int) -> dict:
+    cfg = ExperimentConfig(name="scaling", n_values=(n,), trials=1, master_seed=1)
+    seeds = [mix_seed(s, n, 0) for s in range(1, 6)]
+    (total,) = _median_s([lambda: [_scaling_trial(cfg, n, seed) for seed in seeds]])
+    return {"layer": "scaling_trial", "n": n, "trial_s": float(f"{total / len(seeds):.4g}")}
+
+
 def main() -> None:
-    rows = []
+    g = sample_gnp_half(12, 1)
+    rows = [_split_loop_row(g, f) for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION)]
     for n in (10, 14, 16):
         g = sample_gnp_half(n, 1)
         for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
@@ -96,6 +114,8 @@ def main() -> None:
             rows.append({"layer": f"engines.{f.name}", "n": n, "width_s": width, "lb_s": bound})
             if n < 16:
                 rows.append(_reverify_row(g, f))
+        if n == 14:
+            rows.append(_scaling_trial_row(n))
     for n in (18, 22):
         g = sample_gnp_half(n, 1)
         (half,) = _median_s([lambda: _half_table(g, CUT_RANK_FUNCTION)])
