@@ -30,7 +30,7 @@ rebuilt from the exact g afterwards, by a full ascending scan at each of the
 tree's own n - 2 internal nodes.  Ties between optimal splits resolve to
 the numerically smallest side, so the witness is deterministic.
 
-_subset_dp runs a table of at least 2^_WIDE = 1024 cells holding at most
+_subset_dp runs a table of at least 8 cells holding at most
 256 distinct values a popcount layer at a time (_layered_dp), one bit per
 set in big ints.  Nearly every set stops early, and most at a one-vertex
 side: in the cut-rank DPs of G(14, 1/2), seeds mix_seed(1..3, 14, 0),
@@ -45,30 +45,29 @@ then a few hundred big-int operations, since every set S - {v} lies in the
 layer below, whose sets that kept f's object are known.  Testing f(S - {v})
 alone would be wrong: g[S - {v}] may have risen above f(S).  The other sets
 of the layer are worked one by one, in any order, since only lower layers
-are read.  A set below _WIDE vertices is scanned.  A wider set has 2^9 - 1
-sides or more, and one whose scan does not stop early visits them all, so
-it is decided for all its sides at once, in threshold bitsets, unless its
-scan stops within its first 15 sides, the subsets of its lowest
-_PRESCAN = 4 side vertices (_best_split runs that short scan).  For a
-distinct table value k, bit T of B_k is set iff g[T] <= k.  Reversed over
-the table's bits, B_k turns the other side S \\ T into a shift, so B_k, its
-reversal shifted and a mask of S's sides give, in two ANDs, every side T
-with g[T] <= k and g[S \\ T] <= k.  A binary search over the distinct
-values finds the least such k, which is c(S).  The lowest side that passes
-at c(S) is the first side of the ascending scan to reach c(S), where the
-scan's strictly improving best settles, so g[S] is set to the scan's very
-object, the larger of g[T] and g[S \\ T] (g[T] on a tie).  So every cell
-ends as the object the plain scan leaves.  The bitsets are built when first
-asked for, from bit planes of a one-byte number per cell, and a set whose g
-rises clears its bit in the bitsets it no longer passes.
+are read.  Each is scanned over its first 15 sides, the subsets of its
+lowest _PRESCAN = 4 side vertices (_best_split runs that short scan).  A
+set that this pre-scan neither stops nor exhausts is decided for all its
+sides at once, in threshold bitsets, since its scan, unless it stops early,
+visits every side.  For a distinct table value k, bit T of B_k is set iff
+g[T] <= k.  Reversed over the table's bits, B_k turns the other side S \\ T
+into a shift, so B_k, its reversal shifted and a mask of S's sides give, in
+two ANDs, every side T with g[T] <= k and g[S \\ T] <= k.  A binary search
+over the distinct values finds the least such k, which is c(S).  The lowest
+side that passes at c(S) is the first side of the ascending scan to reach
+c(S), where the scan's strictly improving best settles, so g[S] is set to
+the scan's very object, the larger of g[T] and g[S \\ T] (g[T] on a tie).
+So every cell ends as the object the plain scan leaves.  The bitsets are
+built when first asked for, from bit planes of a one-byte number per cell,
+and a set whose g rises clears its bit in the bitsets it no longer passes.
 
-A smaller table, such as every DP at n <= 10, and a table of more than 256
-distinct values are scanned set by set in ascending order.  The latter has
-no one-byte numbers, and each value probed would cost a pass over all cells
-and two bitsets kept to the end: a weighted edge cut with 11,130 values
-took 10.3 s by bitsets against 0.21 s by the scan at n = 16.  The built-in
-functions stay far below that: on G(18, 1/2) cut-rank has 10 values and
-the boolean function 64-93.
+A table of 4 cells or fewer, whose lanes fill no byte, and a table of more
+than 256 distinct values are scanned set by set in ascending order.  The
+latter has no one-byte numbers, and each value probed would cost a pass
+over all cells and two bitsets kept to the end: a weighted edge cut with
+11,130 values took 10.3 s by bitsets against 0.21 s by the scan at n = 16.
+The built-in functions stay far below that: on G(18, 1/2) cut-rank has 10
+values and the boolean function 64-93.
 
 Every cut function is tabulated once, by _half_table, on the 2^(n-1)
 subsets without vertex n - 1: exactly the indices below 2^(n-1), so this is
@@ -577,16 +576,16 @@ def _exact_width(graph: Graph, f: CutFunction, f_half: list[float]) -> WidthResu
 def _subset_dp(g: list[float]) -> None:
     """The DP over the whole table: g[S] = f(S) becomes max(f(S), c(S)) for every S.
 
-    len(g) is a power of two.  A table of at least 2^_WIDE cells holding at
-    most 256 distinct values is run a popcount layer at a time (_layered_dp);
-    any other table is scanned set by set in ascending order.  Either way
-    every subset of a set is final before the set is.
+    len(g) is a power of two.  A table of at least 8 cells, whole bytes of
+    lanes, holding at most 256 distinct values is run a popcount layer at a
+    time (_layered_dp); any other table is scanned set by set in ascending
+    order.  Either way every subset of a set is final before the set is.
     """
-    # only a table of 2^_WIDE cells or more has wide sets
-    values = sorted(set(g)) if len(g) >> _WIDE else []
-    if 0 < len(values) <= 256:
-        _layered_dp(g, values)
-        return
+    if len(g) >= 8:
+        values = sorted(set(g))
+        if len(values) <= 256:
+            _layered_dp(g, values)
+            return
     for s in range(3, len(g)):
         if s & (s - 1):
             fs = g[s]
@@ -595,10 +594,9 @@ def _subset_dp(g: list[float]) -> None:
                 g[s] = best
 
 
-# a set of at least _WIDE vertices is decided by threshold bitsets unless
-# its scan stops within the subsets of the lowest _PRESCAN vertices of its
-# sides, the scan's first 2^_PRESCAN - 1 sides
-_WIDE = 10
+# an uncertified set is decided by threshold bitsets unless its scan stops
+# within the subsets of the lowest _PRESCAN vertices of its sides, the
+# scan's first 2^_PRESCAN - 1 sides, or those are all its sides
 _PRESCAN = 4
 # byte b -> b with its 8 bits in reverse order
 _REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -655,10 +653,10 @@ def _layered_dp(g: list[float], values: list[float]) -> None:
     bits of ok[v] for sets without v are never read.
 
     The other sets of the layer are worked one at a time, and a set joins
-    same when its g stays f(S).  A narrow set is scanned by _best_split.  A
-    wide one, of _WIDE vertices or more, stops at a short pre-scan or is
-    decided by threshold bitsets.  For a number k, bit i of B_k is set iff
-    g[i]'s number is <= k, and R_k is B_k reversed over the len(g) bits.
+    same when its g stays f(S).  Each runs a short pre-scan by _best_split,
+    and one that it neither stops nor exhausts is decided by threshold
+    bitsets.  For a number k, bit i of B_k is set iff g[i]'s number is
+    <= k, and R_k is B_k reversed over the len(g) bits.
     For a set S with C = full ^ S and a side T of S, bit T of R_k >> C is
     bit S ^ T of B_k, so the sides passing at k, g[T] <= k and
     g[S ^ T] <= k, are the bits of B_k & (R_k >> C) & M_S, M_S holding the
@@ -709,21 +707,19 @@ def _layered_dp(g: list[float], values: list[float]) -> None:
             for j in _BITS[todo[i]]:
                 s = i << 3 | j
                 fs = g[s]
-                if layer < _WIDE:
-                    best = _best_split(g, s, fs)[0]
-                    if best <= fs:
-                        continue
-                    hi = number[best]
-                else:
-                    rest = s ^ (1 << (s.bit_length() - 1))
-                    # the scan's first sides, the subsets of rest's lowest
-                    # _PRESCAN vertices; if they stop it, g[S] stays f(S)
-                    high = rest
-                    for _ in range(_PRESCAN):
-                        high &= high - 1
-                    best = _best_split(g, s, fs, rest ^ high)[0]
-                    if best <= fs:
-                        continue
+                rest = s ^ (1 << (s.bit_length() - 1))
+                # the scan's first sides, the subsets of rest's lowest
+                # _PRESCAN vertices; if they stop it, g[S] stays f(S)
+                high = rest
+                for _ in range(_PRESCAN):
+                    high &= high - 1
+                best = _best_split(g, s, fs, rest ^ high)[0]
+                if best <= fs:
+                    continue
+                low, hi = number[fs], number[best]
+                # with sides left, the least k with a passing side, between
+                # f(S) and the pre-scan's best; without, best is c(S)
+                if high:
                     # M_S by doubling over rest's vertices
                     m, r = 1, rest
                     while r:
@@ -732,24 +728,20 @@ def _layered_dp(g: list[float], values: list[float]) -> None:
                         r ^= bit
                     m ^= 1
                     c = full ^ s
-                    # the least k with a passing side, between f(S) and the
-                    # pre-scan's best
-                    lo = number[fs]
-                    hi = number[best]
+                    lo = low
                     while lo < hi:
                         mid = (lo + hi) >> 1
                         if passing(mid, m, c):
                             hi = mid
                         else:
                             lo = mid + 1
-                    if hi == number[fs]:
+                    if hi == low:
                         continue
                     p = passing(hi, m, c)
                     t = (p & -p).bit_length() - 1
                     a, b = g[t], g[s ^ t]
                     best = a if a >= b else b
                 g[s] = best
-                low = number[fs]
                 bit = 1 << s
                 for d, p in enumerate(planes):
                     if (low ^ hi) >> d & 1:

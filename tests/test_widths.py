@@ -540,13 +540,23 @@ def mirrored(low):
 def scan_subset_dp(g, bound):
     """The DP below bound by the ascending scan alone: g[S] = f(S) becomes
     max(f(S), c(S)) for 2 < S < bound.  The oracle of _subset_dp, which
-    decides its wide sets by threshold bitsets instead."""
+    settles most sets by layer certificates and decides the rest by threshold
+    bitsets instead."""
     for s in range(3, bound):
         if s & (s - 1):
             fs = g[s]
             best = _best_split(g, s, fs)[0]
             if best > fs:
                 g[s] = best
+
+
+def assert_same_as_scan(low):
+    """_subset_dp leaves every cell of a copy of low holding the very object
+    that scan_subset_dp leaves there."""
+    got, ref = list(low), list(low)
+    _subset_dp(got)
+    scan_subset_dp(ref, len(ref))
+    assert all(a is b for a, b in zip(got, ref))
 
 
 def full_table_f_width(graph, f):
@@ -569,43 +579,38 @@ SPREAD_VALUES = CutFunction(
 
 
 class TestWideSetsByBitsets:
-    """_subset_dp decides the sets of at least widths._WIDE vertices by
-    threshold bitsets; every cell must hold the very object that the scan
-    DP leaves there.  A per-subset function gives each cell its own object,
-    so the object pins the side that the value came from."""
-
-    def assert_same(self, low):
-        got, ref = list(low), list(low)
-        _subset_dp(got)
-        scan_subset_dp(ref, len(ref))
-        assert all(a is b for a, b in zip(got, ref))
+    """_subset_dp decides a set that its short pre-scan does not stop, and
+    that has sides left, by threshold bitsets; every cell must hold the very
+    object that the scan DP leaves there.  A per-subset function gives each
+    cell its own object, so the object pins the side that the value came
+    from."""
 
     def test_random_graphs(self):
         rng = SplitMix64(1919)
         for n in range(10, 17):
             g = sample_gnp_half(n, rng.next_word())
             for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
-                self.assert_same(_half_table(g, f))
+                assert_same_as_scan(_half_table(g, f))
                 if n <= 13:
-                    self.assert_same(_half_table(g, dataclasses.replace(f)))
+                    assert_same_as_scan(_half_table(g, dataclasses.replace(f)))
 
     def test_named_graphs(self):
         for n in (11, 13, 14):
             for g in (empty_graph(n), complete_graph(n), _star(n, 0), _star(n, n - 1)):
                 for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
-                    self.assert_same(_half_table(g, f))
+                    assert_same_as_scan(_half_table(g, f))
 
     def test_equal_values_of_two_types(self):
         rng = SplitMix64(2020)
         for n in (11, 12, 13):
             low = _half_table(sample_gnp_half(n, rng.next_word()), MIXED_MIN_SIDE)
-            self.assert_same(low)
+            assert_same_as_scan(low)
 
     def test_more_than_a_byte_of_values(self):
         for n in (11, 12, 13):
             low = _half_table(empty_graph(n), SPREAD_VALUES)
             assert len(set(low)) > 256
-            self.assert_same(low)
+            assert_same_as_scan(low)
 
     @pytest.mark.parametrize("count, bitsets", [(256, True), (257, False)])
     def test_bitsets_up_to_a_byte_of_values(self, monkeypatch, count, bitsets):
@@ -618,35 +623,29 @@ class TestWideSetsByBitsets:
         number = {v: k * count // len(values) for k, v in enumerate(values)}
         low = [number[v] for v in spread]
         assert len(set(low)) == count
-        self.assert_same(low)
+        assert_same_as_scan(low)
         assert calls == ([None] if bitsets else [])
 
-    @pytest.mark.parametrize("wide, prescan", [(3, 1), (3, 2), (5, 3), (7, 0), (7, 9)])
-    def test_every_size_by_bitsets(self, monkeypatch, wide, prescan):
-        # a lower bound on the wide sets and a shorter pre-scan send most sets
-        # down the bitset path; a pre-scan of no vertex, or of all of them,
-        # scans every side
-        monkeypatch.setattr(widths, "_WIDE", wide)
+    @pytest.mark.parametrize("prescan", [0, 1, 2, 3, 9])
+    def test_every_size_by_bitsets(self, monkeypatch, prescan):
+        # a shorter pre-scan sends most sets down the bitset path: one of p
+        # vertices every set of p + 2 vertices or more.  A pre-scan of no
+        # vertex scans every side and still searches the bitsets; one of 9
+        # scans every side of these sets and decides none by bitsets
         monkeypatch.setattr(widths, "_PRESCAN", prescan)
         rng = SplitMix64(2121)
         for n in range(4, 11):
             g = sample_gnp_half(n, rng.next_word())
             for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
-                self.assert_same(_half_table(g, dataclasses.replace(f)))
+                assert_same_as_scan(_half_table(g, dataclasses.replace(f)))
             for f in (MIXED_MIN_SIDE, HALF_MIN_SIDE, SPREAD_VALUES):
-                self.assert_same(_half_table(g, f))
+                assert_same_as_scan(_half_table(g, f))
 
 
 class TestLayerCertificate:
     """_subset_dp settles a popcount layer's sets by one-vertex splits in
     bitsets (_layered_dp) and works only the rest; every cell must hold the
     very object the scan DP leaves there."""
-
-    def assert_same(self, low):
-        got, ref = list(low), list(low)
-        _subset_dp(got)
-        scan_subset_dp(ref, len(ref))
-        assert all(a is b for a, b in zip(got, ref))
 
     @staticmethod
     def leaf_rooted(low):
@@ -661,17 +660,17 @@ class TestLayerCertificate:
             g = sample_gnp_half(n, rng.next_word())
             for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
                 low = _half_table(g, f)
-                self.assert_same(self.leaf_rooted(low))
-                self.assert_same(low)
-        # the lanes ran on the tables of 2^10 cells or more: n = 11..16
-        assert len(calls) == 2 * 2 * 6
+                assert_same_as_scan(self.leaf_rooted(low))
+                assert_same_as_scan(low)
+        # the lanes ran on the tables of 8 cells or more: n = 4..16
+        assert len(calls) == 2 * 2 * 13
 
     def test_copies_of_the_builtins(self):
         rng = SplitMix64(2424)
         for n in range(3, 14):
             g = sample_gnp_half(n, rng.next_word())
             for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
-                self.assert_same(self.leaf_rooted(_half_table(g, dataclasses.replace(f))))
+                assert_same_as_scan(self.leaf_rooted(_half_table(g, dataclasses.replace(f))))
 
     def test_tie_heavy_custom_functions(self):
         rng = SplitMix64(2525)
@@ -679,14 +678,14 @@ class TestLayerCertificate:
             g = sample_gnp_half(n, rng.next_word())
             for f in (MIXED_MIN_SIDE, HALF_MIN_SIDE, INT_MIN_SIDE):
                 low = _half_table(g, f)
-                self.assert_same(self.leaf_rooted(low))
-                self.assert_same(low)
+                assert_same_as_scan(self.leaf_rooted(low))
+                assert_same_as_scan(low)
 
     def test_named_graphs(self):
         for n in range(3, 15):
             for g in (empty_graph(n), complete_graph(n), _star(n, 0), _star(n, n - 1)):
                 for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
-                    self.assert_same(self.leaf_rooted(_half_table(g, f)))
+                    assert_same_as_scan(self.leaf_rooted(_half_table(g, f)))
 
     def test_certifies_only_through_sets_that_kept_f(self):
         # f({0}) = f({1}) = 2 and f({0, 1, 2}) = 1 on 10 vertices, 0 elsewhere.
@@ -699,23 +698,30 @@ class TestLayerCertificate:
         got = list(low)
         _subset_dp(got)
         assert got[0b11] == got[0b111] == 2.0
-        self.assert_same(low)
+        assert_same_as_scan(low)
 
     @pytest.mark.parametrize(
-        "n, function", [(10, CUT_RANK_FUNCTION), (10, CUT_BOOL_FUNCTION), (13, SPREAD_VALUES)]
+        "n, function",
+        [
+            (10, CUT_RANK_FUNCTION),
+            (10, CUT_BOOL_FUNCTION),
+            (13, SPREAD_VALUES),
+            (3, CUT_BOOL_FUNCTION),
+        ],
     )
     def test_no_lane_planes_below_the_bound(self, monkeypatch, n, function):
-        # a table of 2^9 cells, as is every DP at n = 10, and a table of more
-        # than 256 values are scanned set by set
+        # a table of 2^9 cells, as is every DP at n = 10, runs on the lanes,
+        # once per DP; a table of 4 cells and one of more than 256 values
+        # are scanned set by set
         calls, planes = [], widths._planes
         monkeypatch.setattr(widths, "_planes", lambda *a: calls.append(a) or planes(*a))
         g = sample_gnp_half(n, 7)
         low = _half_table(g, function)
         assert len(low) == 1 << (n - 1)
-        self.assert_same(self.leaf_rooted(low))
+        assert_same_as_scan(self.leaf_rooted(low))
         if n == 10:
             exact_f_width(g, function)
-        assert calls == []
+        assert len(calls) == (2 if n == 10 else 0)
 
 
 class TestFullTableOracle:

@@ -8,13 +8,14 @@ each cell built from its parent subset's state.  It times the same for a
 dataclasses.replace copy of each, which calls the per-subset kernel on all
 2^n subsets and audits every pair.  At n = 18 and 22 it times the built-in
 cut-rank fill alone (the boolean walk takes half a minute at n = 22).  At
-n = 12, 14, 16 and 18 it times the split loop alone for each built-in
+n = 10, 12, 14, 16 and 18 it times the split loop alone for each built-in
 (widths._subset_dp on the re-indexed copy of a filled half table that
 widths._exact_width makes, the sets without vertex 0), as every engine runs
-it from n = 11 up: a popcount layer at a time, the sets that a one-vertex
-split stops settled in bitsets, the rest scanned below 10 vertices and
-decided by threshold bitsets from 10 up (the built-ins' tables hold at most
-256 distinct values).  At n = 10, 14 and 16 it times exact_f_width and
+it from n = 4 up: a popcount layer at a time, the sets that a one-vertex
+split stops settled in bitsets, each other set scanned over its first 15
+sides and, if that neither stops it nor covers every side, decided by
+threshold bitsets (the built-ins' tables hold at most 256 distinct
+values).  At n = 10, 14 and 16 it times exact_f_width and
 balanced_cut_lower_bound end to end for each built-in.  At n = 10 and 14
 it times the witness re-check alone for each built-in (widths._verified on
 exact_f_width's witness, VERIFY_LOOPS calls a timing): the engines' audit,
@@ -107,7 +108,7 @@ def main() -> None:
                 copy = dataclasses.replace(f)
                 full, half = _median_s([lambda: _half_table(g, copy), lambda: _half_table(g, f)])
                 rows.append({"layer": f"half_table.{f.name}", "n": n, "full_s": full, "half_s": half})
-                rows.append(_split_loop_row(g, f))
+            rows.append(_split_loop_row(g, f))
             width, bound = _median_s(
                 [lambda: exact_f_width(g, f), lambda: balanced_cut_lower_bound(g, f)]
             )
