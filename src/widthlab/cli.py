@@ -39,6 +39,7 @@ from .widths import (
     DEFAULT_EXACT_CAP,
     _check_balanced_n,
     _check_exact_cap,
+    _check_leaves,
     balanced_cut_lower_bound,
     emit_tree,
     exact_f_width,
@@ -175,8 +176,8 @@ def _cmd_check(args, parser) -> int:
     texts = _graph_texts(args.input, args.input_format)
     if len(texts) != 1:
         parser.error(f"check takes exactly one graph, input has {len(texts)}")
-    graph = _parse_graph(*texts[0], args.input_format)
     tree = parse_tree(_read_text(args.tree))
+    graph = _parse_graph(*texts[0], args.input_format, functools.partial(_check_leaves, tree=tree))
     result = tree_width_under(graph, tree, _MEASURES[args.measure])
     sys.stdout.write(f"{_format_value(args.measure, result.value)}\n")
     return 0
@@ -235,7 +236,8 @@ def _cmd_oracle(args, parser) -> int:
 # One parser per process, built on first use so that importing the module
 # stays cheap.  Each subcommand carries its handler as `run`; width and lb
 # also carry their per-graph `text` and `check_n`, the engine's check of n
-# against --cap, run on an edge list's vertex count before the graph is built.
+# against --cap, run on an edge list's vertex count before the graph is built;
+# check runs the tree's leaf-count check there the same way.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

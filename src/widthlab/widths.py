@@ -400,8 +400,8 @@ def _half_table(graph: Graph, f: CutFunction) -> list[float]:
 # 2^14 lanes a chunk: a matrix entry is a 2 KB int, so a chunk's n^2 entries
 # take less than the half table's 8 bytes a cell from n = 18 up
 _LANE_BITS = 14
-# byte b -> 8 bytes, byte t holding bit t of b
-_SPREAD = [bytes(b >> t & 1 for t in range(8)) for b in range(256)]
+# the delta swaps that transpose each 8 x 8 bit block of a 64-bit word
+_TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 def _rank_half_table(graph: Graph) -> list[float]:
@@ -416,14 +416,13 @@ def _rank_half_table(graph: Graph) -> list[float]:
     values = [float(r) for r in range(n // 2 + 1)]
     last = n - 1
     m = min(last, _LANE_BITS)
-    lanes = 1 << m
-    ones = (1 << lanes) - 1
+    ones = (1 << (1 << m)) - 1
     patterns = _bit_patterns(m)  # vertex i < m is in Y in the lanes whose bit i is set
     table = [0.0] * (1 << last)
     for c in range(1 << (last - m)):
         inside = patterns + [ones if c >> t & 1 else 0 for t in range(last - m)] + [0]
         ranks = _lane_ranks(graph._adj, inside, ones)
-        table[c << m : (c + 1) << m] = map(values.__getitem__, ranks[:lanes])
+        table[c << m : (c + 1) << m] = map(values.__getitem__, ranks)
     return table
 
 
@@ -444,7 +443,7 @@ def _lane_ranks(adj: tuple[int, ...], inside: list[int], ones: int) -> bytes:
     by column: each lane takes its first unused row with a 1 in column j as
     pivot and clears column j from its other unused rows, about n^3 big-int
     operations in all.  A lane's pivots are its rank, at most n // 2, summed
-    in bit planes.
+    in bit planes and turned into bytes by _transpose.
     """
     n = len(adj)
     width = (n // 2).bit_length()
@@ -476,12 +475,22 @@ def _lane_ranks(adj: tuple[int, ...], inside: list[int], ones: int) -> bytes:
                 if pk:
                     for row, h in hits:
                         row[k] ^= h & pk
-    size = max(ones.bit_length() >> 3, 1)
-    total = 0
+    rows = bytearray(max(ones.bit_length(), 8))  # whole 8 x 8 blocks
     for p, plane in enumerate(planes):
-        spread = b"".join(map(_SPREAD.__getitem__, plane.to_bytes(size, "little")))
-        total |= int.from_bytes(spread, "little") << p
-    return total.to_bytes(size << 3, "little")
+        rows[p::8] = plane.to_bytes(len(rows) >> 3, "little")
+    return _transpose(rows)[: ones.bit_length()]
+
+
+def _transpose(rows: bytes) -> bytes:
+    """rows with each 8 x 8 bit block transposed: bit j of byte 8b + i swaps with bit i
+    of byte 8b + j (len(rows) a multiple of 8).  So one byte a cell becomes bit planes,
+    plane j every eighth byte from j, and back."""
+    x = int.from_bytes(rows, "little")
+    words = len(rows) >> 3
+    for shift, mask in _TRANSPOSE:
+        t = (x ^ x >> shift) & int.from_bytes(mask.to_bytes(8, "little") * words, "little")
+        x ^= t ^ t << shift
+    return x.to_bytes(len(rows), "little")
 
 
 def tree_width_under(graph: Graph, tree: DecompositionTree, f: CutFunction) -> WidthResult:
@@ -489,12 +498,17 @@ def tree_width_under(graph: Graph, tree: DecompositionTree, f: CutFunction) -> W
     return _tree_width(graph, tree, f, None)
 
 
+def _check_leaves(n: int, tree: DecompositionTree) -> None:
+    """tree_width_under's check of n, also run by the CLI on an edge list's vertex count."""
+    if tree.n_leaves != n:
+        raise StructureError(f"tree has {tree.n_leaves} leaves for a graph on {n} vertices")
+
+
 def _tree_width(
     graph: Graph, tree: DecompositionTree, f: CutFunction, f_half: Optional[list[float]]
 ) -> WidthResult:
     """tree_width_under, its spot check reading f_half if given."""
-    if tree.n_leaves != graph.n:
-        raise StructureError(f"tree has {tree.n_leaves} leaves for a graph on {graph.n} vertices")
+    _check_leaves(graph.n, tree)
     if graph.n <= 1:
         return WidthResult(0.0, tree, Cut(0, graph.n))
     ev = _bits_eval(graph, f)
@@ -602,23 +616,11 @@ _PRESCAN = 4
 _REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 # byte b -> the positions of its set bits
 _BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
-# the delta swaps that transpose each 8 x 8 bit block of a 64-bit word
-_TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 def _planes(code: bytes, count: int) -> list[int]:
-    """The lowest `count` bit planes of code: bit S of plane j is bit j of code[S].
-
-    len(code) is a multiple of 8.  In int.from_bytes(code) byte S holds
-    code[S]; transposing each 8 x 8 bit block in place leaves in byte 8b + j
-    bit j of the cells 8b..8b+7, so plane j is every eighth byte from j.
-    """
-    x = int.from_bytes(code, "little")
-    words = len(code) >> 3
-    for shift, mask in _TRANSPOSE:
-        t = (x ^ x >> shift) & int.from_bytes(mask.to_bytes(8, "little") * words, "little")
-        x ^= t ^ t << shift
-    rows = x.to_bytes(len(code), "little")
+    """The lowest `count` bit planes of code: bit S of plane j is bit j of code[S]."""
+    rows = _transpose(code)
     return [int.from_bytes(rows[j::8], "little") for j in range(count)]
 
 

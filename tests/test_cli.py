@@ -22,6 +22,10 @@ EDGE_LIST_CAPS = [
 ]
 
 
+# a caterpillar's decomposition tree on the leaves 0..4
+FIVE_LEAF_TREE = "tree 5\ni0 0 1 i1\ni1 2 i0 i2\ni2 3 4 i1\n"
+
+
 class TestGen:
     def test_single_vertex_is_at_sign(self):
         code, out, err = run_cli(["gen", "--n", "1", "--seed", "7"])
@@ -135,6 +139,37 @@ class TestWidth:
         finally:
             tracemalloc.stop()
         assert result == (2, "", f"0 error: {message}, got n = 1000000000\n")
+        assert peak < 1 << 20
+
+    def test_check_compares_the_leaf_count_before_the_graph(self, tmp_path, monkeypatch):
+        built = []
+        from_edges = Graph.from_edges
+        monkeypatch.setattr(
+            Graph, "from_edges", classmethod(lambda cls, n, e: built.append(n) or from_edges(n, e))
+        )
+        path = tmp_path / "huge.txt"
+        path.write_text("300000\n")
+        tpath = tmp_path / "five.tree"
+        tpath.write_text(FIVE_LEAF_TREE)
+        argv = ["check", "--input-format", "edges", "--input", str(path), "--tree", str(tpath)]
+        result = run_cli(argv)
+        assert result == (1, "", "error: tree has 5 leaves for a graph on 300000 vertices\n")
+        assert built == []
+
+    def test_check_on_a_billion_vertices_allocates_nothing(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000000\n")
+        tpath = tmp_path / "five.tree"
+        tpath.write_text(FIVE_LEAF_TREE)
+        argv = ["check", "--input-format", "edges", "--input", str(path), "--tree", str(tpath)]
+        run_cli(["gen", "--n", "1", "--seed", "1"])  # the parser is built outside the trace
+        tracemalloc.start()
+        try:
+            result = run_cli(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (1, "", "error: tree has 5 leaves for a graph on 1000000000 vertices\n")
         assert peak < 1 << 20
 
     def test_witness_check_round_trip(self, tmp_path):

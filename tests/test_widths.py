@@ -52,7 +52,9 @@ from widthlab.widths import (
     _bits_eval,
     _exact_width,
     _half_table,
+    _planes,
     _subset_dp,
+    _transpose,
     _verified,
     _witness_tree,
 )
@@ -722,6 +724,37 @@ class TestLayerCertificate:
         if n == 10:
             exact_f_width(g, function)
         assert len(calls) == (2 if n == 10 else 0)
+
+
+class TestBitTranspose:
+    """_transpose swaps bit j of byte 8b + i with bit i of byte 8b + j; the
+    rank fill and _planes both read their bytes or planes through it."""
+
+    def test_each_bit_moves_across_the_block_diagonal(self):
+        for b in range(2):
+            for i in range(8):
+                for j in range(8):
+                    rows = bytearray(16)
+                    rows[8 * b + i] = 1 << j
+                    want = bytearray(16)
+                    want[8 * b + j] = 1 << i
+                    assert _transpose(bytes(rows)) == want
+
+    def test_its_own_inverse(self):
+        rng = SplitMix64(2626)
+        for words in (1, 2, 3, 64):
+            for _ in range(20):
+                rows = rng.next_bits(64 * words).to_bytes(8 * words, "little")
+                assert _transpose(_transpose(rows)) == rows
+
+    def test_planes_match_per_cell_bits(self):
+        rng = SplitMix64(2727)
+        for size in (8, 16, 512):
+            code = bytes(rng.next_bits(8) for _ in range(size))
+            planes = _planes(code, 8)
+            for j, plane in enumerate(planes):
+                assert plane == sum((c >> j & 1) << s for s, c in enumerate(code))
+            assert _planes(code, 3) == planes[:3]
 
 
 class TestFullTableOracle:

@@ -6,8 +6,9 @@ n - 1 with no per-subset kernel call: cut-rank by a bit-sliced GF(2)
 elimination over 2^14 of them at a time, the boolean cut function by one walk,
 each cell built from its parent subset's state.  It times the same for a
 dataclasses.replace copy of each, which calls the per-subset kernel on all
-2^n subsets and audits every pair.  At n = 18 and 22 it times the built-in
-cut-rank fill alone (the boolean walk takes half a minute at n = 22).  At
+2^n subsets and audits every pair.  At n = 10 (the size of the CLI
+benchmark's graphs), 18 and 22 it times the built-in cut-rank fill alone (the
+boolean walk takes half a minute at n = 22).  At
 n = 10, 12, 14, 16 and 18 it times the split loop alone for each built-in
 (widths._subset_dp on the re-indexed copy of a filled half table that
 widths._exact_width makes, the sets without vertex 0), as every engine runs
@@ -117,7 +118,7 @@ def main() -> None:
                 rows.append(_reverify_row(g, f))
         if n == 14:
             rows.append(_scaling_trial_row(n))
-    for n in (18, 22):
+    for n in (10, 18, 22):
         g = sample_gnp_half(n, 1)
         (half,) = _median_s([lambda: _half_table(g, CUT_RANK_FUNCTION)])
         rows.append({"layer": "half_table.rank", "n": n, "half_s": half})
