@@ -158,6 +158,11 @@ def _lb_text(graph: Graph, args) -> str:
     return f"{_format_value(args.measure, value)} {members}\n"
 
 
+def _error_text(exc: Exception) -> str:
+    """The text after `error: `; a MemoryError carries none of its own."""
+    return "out of memory" if isinstance(exc, MemoryError) else str(exc)
+
+
 def _cmd_batch(args, parser) -> int:
     """Run `width` or `lb` per input graph; a failed graph prints only to stderr."""
     failed = False
@@ -166,8 +171,8 @@ def _cmd_batch(args, parser) -> int:
         try:
             graph = _parse_graph(lineno, text, args.input_format, check_n)
             sys.stdout.write(f"{idx} {args.text(graph, args)}")
-        except (WidthlabError, ValueError) as exc:
-            print(f"{idx} error: {exc}", file=sys.stderr)
+        except (WidthlabError, ValueError, MemoryError) as exc:
+            print(f"{idx} error: {_error_text(exc)}", file=sys.stderr)
             failed = True
     return 2 if failed else 0
 
@@ -315,8 +320,8 @@ def main(argv=None) -> int:
         return args.run(args, parser)
     except BrokenPipeError:
         return 1
-    except (WidthlabError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (WidthlabError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 1
 
 

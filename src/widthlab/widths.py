@@ -45,21 +45,21 @@ then a few hundred big-int operations, since every set S - {v} lies in the
 layer below, whose sets that kept f's object are known.  Testing f(S - {v})
 alone would be wrong: g[S - {v}] may have risen above f(S).  The other sets
 of the layer are worked one by one, in any order, since only lower layers
-are read.  Each is scanned over its first 15 sides, the subsets of its
-lowest _PRESCAN = 4 side vertices (_best_split runs that short scan).  A
-set that this pre-scan neither stops nor exhausts is decided for all its
-sides at once, in threshold bitsets, since its scan, unless it stops early,
-visits every side.  For a distinct table value k, bit T of B_k is set iff
+are read.  Each is decided for all its sides at once, in threshold
+bitsets.  For a distinct table value k, bit T of B_k is set iff
 g[T] <= k.  Reversed over the table's bits, B_k turns the other side S \\ T
 into a shift, so B_k, its reversal shifted and a mask of S's sides give, in
-two ANDs, every side T with g[T] <= k and g[S \\ T] <= k.  A binary search
-over the distinct values finds the least such k, which is c(S).  The lowest
-side that passes at c(S) is the first side of the ascending scan to reach
-c(S), where the scan's strictly improving best settles, so g[S] is set to
-the scan's very object, the larger of g[T] and g[S \\ T] (g[T] on a tie).
-So every cell ends as the object the plain scan leaves.  The bitsets are
-built when first asked for, from bit planes of a one-byte number per cell,
-and a set whose g rises clears its bit in the bitsets it no longer passes.
+two ANDs, every side T with g[T] <= k and g[S \\ T] <= k.  The values are
+probed upward from f(S), and the first k at which a side passes is
+max(f(S), c(S)).  If that is f(S), the scan of S would stop early and g[S]
+stays f(S).  Otherwise k is c(S), and the lowest side that passes at c(S)
+is the first side of the ascending scan to reach c(S), where the scan's
+strictly improving best settles, so g[S] is set to the scan's very object,
+the larger of g[T] and g[S \\ T] (g[T] on a tie).  So every cell ends as
+the object the plain scan leaves.  The bitsets are built when first asked
+for, from bit planes of a one-byte number per cell in f, and a set whose g
+rises clears its bit in the bitsets it no longer passes: its probe has
+asked for all of them.
 
 A table of 4 cells or fewer, whose lanes fill no byte, and a table of more
 than 256 distinct values are scanned set by set in ascending order.  The
@@ -608,10 +608,6 @@ def _subset_dp(g: list[float]) -> None:
                 g[s] = best
 
 
-# an uncertified set is decided by threshold bitsets unless its scan stops
-# within the subsets of the lowest _PRESCAN vertices of its sides, the
-# scan's first 2^_PRESCAN - 1 sides, or those are all its sides
-_PRESCAN = 4
 # byte b -> b with its 8 bits in reverse order
 _REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 # byte b -> the positions of its set bits
@@ -639,8 +635,8 @@ def _layered_dp(g: list[float], values: list[float]) -> None:
 
     values are g's distinct values in order, at most 256 of them, and a
     set's number is that of its g among them.  A lane int has one bit per
-    set, bit S for set S, and planes[j] holds bit j of every set's number,
-    kept current as g rises.
+    set, bit S for set S, and planes[j] holds bit j of every set's number
+    in f, never updated.
 
     The layer certificate.  For a vertex v and a set S holding v, bit S of
     ok[v] is set iff f(S - {v}) <= f(S) and f({v}) <= f(S): the planes
@@ -654,18 +650,22 @@ def _layered_dp(g: list[float], values: list[float]) -> None:
     R + 2^v with R in layer L - 1 and no carry, so v is not in R and the
     bits of ok[v] for sets without v are never read.
 
-    The other sets of the layer are worked one at a time, and a set joins
-    same when its g stays f(S).  Each runs a short pre-scan by _best_split,
-    and one that it neither stops nor exhausts is decided by threshold
-    bitsets.  For a number k, bit i of B_k is set iff g[i]'s number is
-    <= k, and R_k is B_k reversed over the len(g) bits.
+    The other sets of the layer are worked one at a time by threshold
+    bitsets, and a set joins same when its g stays f(S).  For a number k,
+    bit i of B_k is set iff g[i]'s number is <= k, and R_k is B_k reversed
+    over the len(g) bits.
     For a set S with C = full ^ S and a side T of S, bit T of R_k >> C is
     bit S ^ T of B_k, so the sides passing at k, g[T] <= k and
     g[S ^ T] <= k, are the bits of B_k & (R_k >> C) & M_S, M_S holding the
-    non-empty subsets of S without its top vertex.  c(S) is the least k at
-    which a side passes; the lowest such side is the one the ascending scan
-    keeps, so g[S] is the scan's object.  B_k and R_k are built when first
-    asked for and kept current as g rises.
+    non-empty subsets of S without its top vertex.  k is probed upward from
+    f(S)'s number; a side passing there leaves g[S] = f(S), and otherwise
+    the first k with a passing side is c(S), its lowest such side the one
+    the ascending scan keeps, so g[S] is the scan's object.  B_k and R_k
+    are built from the planes when first asked for.  The probe of S has
+    asked for every k from f(S) to c(S) before g[S] rises, and the rise
+    clears bit S in those with k < c(S), so every B_k holds g's numbers:
+    one built later either has k >= c(S), which S passes, or k < f(S),
+    which it fails, by its number in f as by its number in g.
     """
     size = len(g)
     full = size - 1
@@ -708,64 +708,40 @@ def _layered_dp(g: list[float], values: list[float]) -> None:
         for i in compress(range(len(todo)), todo):
             for j in _BITS[todo[i]]:
                 s = i << 3 | j
-                fs = g[s]
-                rest = s ^ (1 << (s.bit_length() - 1))
-                # the scan's first sides, the subsets of rest's lowest
-                # _PRESCAN vertices; if they stop it, g[S] stays f(S)
-                high = rest
-                for _ in range(_PRESCAN):
-                    high &= high - 1
-                best = _best_split(g, s, fs, rest ^ high)[0]
-                if best <= fs:
+                # M_S by doubling over the vertices of S but its top one
+                m, r = 1, s ^ (1 << (s.bit_length() - 1))
+                while r:
+                    bit = r & -r
+                    m |= m << bit
+                    r ^= bit
+                m ^= 1
+                c = full ^ s
+                # the least k from f(S)'s number, code[s], up at which a
+                # side passes
+                low = hi = code[s]
+                while not (p := passing(hi, m, c)):
+                    hi += 1
+                if hi == low:
                     continue
-                low, hi = number[fs], number[best]
-                # with sides left, the least k with a passing side, between
-                # f(S) and the pre-scan's best; without, best is c(S)
-                if high:
-                    # M_S by doubling over rest's vertices
-                    m, r = 1, rest
-                    while r:
-                        bit = r & -r
-                        m |= m << bit
-                        r ^= bit
-                    m ^= 1
-                    c = full ^ s
-                    lo = low
-                    while lo < hi:
-                        mid = (lo + hi) >> 1
-                        if passing(mid, m, c):
-                            hi = mid
-                        else:
-                            lo = mid + 1
-                    if hi == low:
-                        continue
-                    p = passing(hi, m, c)
-                    t = (p & -p).bit_length() - 1
-                    a, b = g[t], g[s ^ t]
-                    best = a if a >= b else b
-                g[s] = best
-                bit = 1 << s
-                for d, p in enumerate(planes):
-                    if (low ^ hi) >> d & 1:
-                        planes[d] = p ^ bit
-                for k, bits in cache.items():
-                    if low <= k < hi:
-                        bits[0] ^= bit
-                        bits[1] ^= 1 << (full ^ s)
+                t = (p & -p).bit_length() - 1
+                a, b = g[t], g[s ^ t]
+                g[s] = a if a >= b else b
+                # the probe built B_k for every k it passed over
+                for k in range(low, hi):
+                    bits = cache[k]
+                    bits[0] ^= 1 << s
+                    bits[1] ^= 1 << c
                 kept[i] ^= 1 << j
         same = certified | int.from_bytes(kept, "little")
 
 
-def _best_split(
-    g: list[float], s: int, stop: float = -math.inf, sides: int = 0
-) -> tuple[float, int]:
+def _best_split(g: list[float], s: int, stop: float = -math.inf) -> tuple[float, int]:
     """c(S) and the smallest side T realizing it, by an ascending scan of T.
 
-    T runs over the non-empty subsets of S without its top bit, or of sides,
-    a subset of that, if given.  The scan ends early at the first split
-    whose value is <= stop.
+    T runs over the non-empty subsets of S without its top bit.  The scan
+    ends early at the first split whose value is <= stop.
     """
-    rest = sides or s ^ (1 << (s.bit_length() - 1))
+    rest = s ^ (1 << (s.bit_length() - 1))
     best = math.inf
     side = 0
     t = 0

@@ -1,10 +1,13 @@
+import io
 import os
+import sys
 import time
 import tracemalloc
 
 import pytest
 
 from widthlab import Graph, complete_graph, cycle_graph, emit_edge_list, emit_graph6, path_graph
+from widthlab import cli
 
 from conftest import run_cli
 
@@ -303,6 +306,47 @@ class TestOracle:
     def test_cap_violation_exits_nonzero(self):
         code, out, err = run_cli(["oracle", "rankdist", "--m", "5", "--n", "5"])
         assert code == 1 and out == "" and "error" in err
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "command, engine", [("width", "exact_f_width"), ("lb", "balanced_cut_lower_bound")]
+    )
+    def test_batch_goes_on_to_the_next_graph(self, tmp_path, monkeypatch, command, engine):
+        # the engine runs out of memory on the first graph only
+        run = getattr(cli, engine)
+
+        def engine_out_of_memory(graph, *args):
+            if graph.n == 6:
+                raise MemoryError
+            return run(graph, *args)
+
+        monkeypatch.setattr(cli, engine, engine_out_of_memory)
+        path = write_graphs(tmp_path, [complete_graph(6), complete_graph(5)])
+        code, out, err = run_cli([command, "--input", path])
+        assert (code, err) == (2, "0 error: out of memory\n")
+        assert out.startswith("1 1")
+
+    def test_command_prints_one_line_exit_1(self, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_run_experiment", out_of_memory)
+        argv = ["exp", "scaling", "--seed", "1", "--n-list", "6", "--trials", "1"]
+        assert run_cli(argv) == (1, "", "error: out of memory\n")
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_1(self, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", err)
+        assert cli.main(["gen", "--n", "5", "--seed", "1"]) == 1
+        assert err.getvalue() == ""
 
 
 class TestDeterminismAcrossCommands:

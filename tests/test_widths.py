@@ -581,11 +581,11 @@ SPREAD_VALUES = CutFunction(
 
 
 class TestWideSetsByBitsets:
-    """_subset_dp decides a set that its short pre-scan does not stop, and
-    that has sides left, by threshold bitsets; every cell must hold the very
-    object that the scan DP leaves there.  A per-subset function gives each
-    cell its own object, so the object pins the side that the value came
-    from."""
+    """_subset_dp decides each set that the layer certificate leaves by
+    probing its threshold bitsets upward from f(S); every cell must hold the
+    very object that the scan DP leaves there.  A per-subset function gives
+    each cell its own object, so the object pins the side that the value
+    came from."""
 
     def test_random_graphs(self):
         rng = SplitMix64(1919)
@@ -628,13 +628,9 @@ class TestWideSetsByBitsets:
         assert_same_as_scan(low)
         assert calls == ([None] if bitsets else [])
 
-    @pytest.mark.parametrize("prescan", [0, 1, 2, 3, 9])
-    def test_every_size_by_bitsets(self, monkeypatch, prescan):
-        # a shorter pre-scan sends most sets down the bitset path: one of p
-        # vertices every set of p + 2 vertices or more.  A pre-scan of no
-        # vertex scans every side and still searches the bitsets; one of 9
-        # scans every side of these sets and decides none by bitsets
-        monkeypatch.setattr(widths, "_PRESCAN", prescan)
+    def test_every_size_by_bitsets(self):
+        # every set the layer certificate leaves, of whatever size, is
+        # decided by its threshold bitsets
         rng = SplitMix64(2121)
         for n in range(4, 11):
             g = sample_gnp_half(n, rng.next_word())
@@ -864,6 +860,15 @@ class TestBruteForceOracle:
         g = Graph.from_edges(2, [(0, 1)])
         res = brute_force_f_width(g, CUT_RANK_FUNCTION)
         assert res.value == float(cut_rank(g, Cut.from_vertices(2, [0])))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_below_two_vertices(self, n):
+        # no cut to evaluate: width 0, the edgeless tree and the empty cut
+        res = brute_force_f_width(Graph.from_edges(n, []), CUT_RANK_FUNCTION)
+        assert res.value == 0.0
+        assert emit_tree(res.witness_tree) == f"tree {n}\n"
+        assert res.witness_tree.node_count == n
+        assert res.witness_cut == Cut(0, n)
 
 
 class TestBalancedCutLowerBound:

@@ -13,10 +13,9 @@ n = 10, 12, 14, 16 and 18 it times the split loop alone for each built-in
 (widths._subset_dp on the re-indexed copy of a filled half table that
 widths._exact_width makes, the sets without vertex 0), as every engine runs
 it from n = 4 up: a popcount layer at a time, the sets that a one-vertex
-split stops settled in bitsets, each other set scanned over its first 15
-sides and, if that neither stops it nor covers every side, decided by
-threshold bitsets (the built-ins' tables hold at most 256 distinct
-values).  At n = 10, 14 and 16 it times exact_f_width and
+split stops settled in bitsets, each other set decided by threshold
+bitsets probed upward from its own f value (the built-ins' tables hold at
+most 256 distinct values).  At n = 10, 14 and 16 it times exact_f_width and
 balanced_cut_lower_bound end to end for each built-in.  At n = 10 and 14
 it times the witness re-check alone for each built-in (widths._verified on
 exact_f_width's witness, VERIFY_LOOPS calls a timing): the engines' audit,
