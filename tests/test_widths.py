@@ -628,10 +628,12 @@ class TestWideSetsByBitsets:
         assert_same_as_scan(low)
         assert calls == ([None] if bitsets else [])
 
-    def test_every_size_by_bitsets(self):
+    @pytest.mark.parametrize("stream", [0, 1, 2, 3, 9])
+    def test_every_size_by_bitsets(self, stream):
         # every set the layer certificate leaves, of whatever size, is
-        # decided by its threshold bitsets
-        rng = SplitMix64(2121)
+        # decided by its threshold bitsets; each case draws its graphs from
+        # its own random stream, and stream 0 is the original case's
+        rng = SplitMix64(2121 + stream)
         for n in range(4, 11):
             g = sample_gnp_half(n, rng.next_word())
             for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
