@@ -168,6 +168,10 @@ def _run_experiment(spec: _Spec, cfg: ExperimentConfig, jobs: int) -> Experiment
         raise ValueError("config must request at least one trial")
     if cfg.mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {cfg.mode!r}")
+    if cfg.work_cap < 0:
+        raise ValueError(f"work_cap must be at least 0, got {cfg.work_cap}")
+    if cfg.sample_trials < 1:
+        raise ValueError(f"sample_trials must be at least 1, got {cfg.sample_trials}")
     spec.check_n_values(cfg.n_values, cfg.width_cap)
     records = _run_trials(cfg, spec.trial, jobs)
     summaries = []

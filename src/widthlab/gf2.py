@@ -209,7 +209,9 @@ def _max_fit_dim(combos: list[tuple[int, int]], budget: int, floor: int) -> int:
     one support at a time; each U is visited once, and one whose fitting x
     span too little is not extended.  Independence is always tested on the
     combinations x, never on the products xR: dependent rows give distinct x
-    with equal products.
+    with equal products.  `_first_rows` runs it only where `_dim_exceeds` has
+    no cheaper test (floor >= 3), and on a full row set that improves the
+    best, for its exact dimension.
     """
     best = floor
     seen = {0}
@@ -229,6 +231,42 @@ def _max_fit_dim(combos: list[tuple[int, int]], budget: int, floor: int) -> int:
     return best
 
 
+def _dim_exceeds(fits: list[tuple[int, int]], budget: int, floor: int) -> bool:
+    """Whether some X_U with |U| <= budget has dimension above `floor`.
+
+    The same answer as `_max_fit_dim(fits, budget, floor) > floor`, by the
+    cheapest exact test.  Every x in `fits` is nonzero and listed once, with
+    every fitting combination of the same rows.  At floor 0 one fit x is
+    enough: it lies in X_U for U = supp(xR).  At floors 1 and 2 the test is
+    for floor + 1 independent fits whose supports together fit the budget:
+    their span lies in X_U for U the union of those supports, and any
+    (floor + 1)-dimensional X_U holds such a basis.  Two distinct nonzero x
+    are independent, and a third is independent of them unless it is their
+    sum.  Fits with equal supports, kernel vectors (p = 0) included, take
+    part like any others.  From floor 3 on, `_max_fit_dim` decides.
+    """
+    if floor <= 0:
+        return floor < 0 or bool(fits)
+    if floor == 1:
+        supports = [p for _, p in fits]
+        for i, p in enumerate(supports, 1):
+            for q in supports[i:]:
+                if (p | q).bit_count() <= budget:
+                    return True
+        return False
+    if floor == 2:
+        for i, (x, p) in enumerate(fits, 1):
+            for j, (y, q) in enumerate(fits[i:], i + 1):
+                pq = p | q
+                if pq.bit_count() <= budget:
+                    xy = x ^ y
+                    for z, r in fits[j:]:
+                        if z != xy and (pq | r).bit_count() <= budget:
+                            return True
+        return False
+    return _max_fit_dim(fits, budget, floor) > floor
+
+
 def _check_shape(matrix: BitMatrix, m: int, k: int) -> None:
     if not 0 <= m <= matrix.rows:
         raise ValueError(f"need 0 <= m <= {matrix.rows}, got {m}")
@@ -246,8 +284,10 @@ def _first_rows(data: Sequence[int], m: int, budget: int, best: int) -> tuple[in
     appends its fitting (x, xR) pairs to the shared list, which is cut back
     when the child is left.  A prefix R' whose own minimum |R'| - dim X_U is
     at least `best` is not extended: the minimum cannot drop as rows join.
-    A full row set is taken only on a strict improvement, and the search
-    stops at rank 0.
+    So each prefix asks `_dim_exceeds` whether some dim X_U exceeds
+    floor = |R'| - best, always true below 0 (too few rows to reach rank
+    `best`).  A full row set is taken only on a strict improvement, and only
+    then does `_max_fit_dim` give its exact rank; the search stops at rank 0.
     """
     products = [0] * (1 << m)
     fits: list[tuple[int, int]] = []
@@ -268,16 +308,13 @@ def _first_rows(data: Sequence[int], m: int, budget: int, best: int) -> tuple[in
                     fits.append((half | x, p))
             chosen.append(r)
             floor = j + 1 - best
-            if j + 1 < m and floor < 0:
-                extend(r + 1)  # too few rows to reach rank best
             # a subspace of dimension floor + 1 has 2**(floor + 1) - 1 nonzero members
-            elif len(fits) >= (1 << (floor + 1)) - 1:
-                dim = _max_fit_dim(fits, budget, floor)
-                if dim > floor:
-                    if j + 1 < m:
-                        extend(r + 1)
-                    else:
-                        best, best_rows = m - dim, tuple(chosen)
+            enough = floor < 0 or len(fits) >= (1 << (floor + 1)) - 1
+            if enough and _dim_exceeds(fits, budget, floor):
+                if j + 1 < m:
+                    extend(r + 1)
+                else:
+                    best, best_rows = m - _max_fit_dim(fits, budget, floor), tuple(chosen)
             chosen.pop()
             del fits[mark:]
             if best == 0:
@@ -341,7 +378,10 @@ def min_submatrix_rank_exhaustive(
     (rowset, colset) order, as a scan of every pair would find it.  Row
     prefixes are searched depth first in `combinations` order, a prefix that
     cannot strictly beat the best so far is not extended, and a row set is
-    taken only on a strict improvement (`_first_rows`).  Then the winning
+    taken only on a strict improvement (`_first_rows`).  Whether a prefix
+    can is decided by one fit, two fits or three independent fits where
+    that suffices, and otherwise by the search over unions of supports
+    (`_dim_exceeds`, `_max_fit_dim`).  Then the winning
     row set's column prefixes are searched in the same order, and the first
     k columns of that rank are the witness (`_first_columns`).  Raises
     CapExceeded when `exhaustive_work` exceeds `pair_cap`.

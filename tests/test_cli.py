@@ -442,6 +442,15 @@ class TestUsageErrors:
         assert run_cli(["exp", "envelope", "--n-list", ","]) == (1, "", "error: empty n list ','\n")
 
 
+class TestExpCapValues:
+    def test_negative_work_cap_exits_1(self, tmp_path):
+        out = tmp_path / "report.jsonl"
+        argv = ["exp", "lemma1", "--seed", "1", "--n-list", "3", "--trials", "1",
+                "--work-cap", "-5", "--out", str(out)]
+        assert run_cli(argv) == (1, "", "error: work_cap must be at least 0, got -5\n")
+        assert not out.exists()
+
+
 def _bad_graph_input(fmt):
     """Two good graphs around one malformed one; the bad graph's first line."""
     if fmt == "g6":

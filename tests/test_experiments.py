@@ -89,6 +89,30 @@ class TestConfigValidation:
             run(small_cfg(other))
 
 
+class TestCapFieldValidation:
+    """work_cap and sample_trials are checked with the rest of the config, before any trial."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("work_cap", -5, "work_cap must be at least 0, got -5"),
+            ("sample_trials", 0, "sample_trials must be at least 1, got 0"),
+            ("sample_trials", -3, "sample_trials must be at least 1, got -3"),
+        ],
+    )
+    def test_out_of_range_is_named(self, field, value, message):
+        for mode in ("exhaustive", "sampled"):
+            cfg = small_cfg("lemma1", n_values=(3, 5), trials=1, mode=mode, **{field: value})
+            with pytest.raises(ValueError, match=message):
+                lemma1_experiment(cfg)
+        with pytest.raises(ValueError, match=message):
+            scaling_experiment(small_cfg("scaling", **{field: value}))
+
+    def test_zero_work_cap_samples_every_trial(self):
+        report = lemma1_experiment(small_cfg("lemma1", n_values=(3, 5), trials=1, work_cap=0))
+        assert [r["certified"] for r in report.records] == [False, False]
+
+
 class TestLemma1Experiment:
     def test_trial_records_verify_at_witness(self):
         report = lemma1_experiment(small_cfg("lemma1", n_values=(6, 9), trials=4))

@@ -22,6 +22,7 @@ from widthlab import (
 from widthlab.gf2 import (
     DEFAULT_PAIR_CAP,
     _check_shape,
+    _dim_exceeds,
     _first_columns,
     _max_fit_dim,
     _rank_of_words,
@@ -549,3 +550,84 @@ class TestPathologicalInputs:
         assert result == expected
         mu, rows, cols = result
         assert rank(submatrix(matrix, rows, cols)) == mu
+
+
+def _random_rows(rng, count, cols):
+    """`count` rows of `cols` bits: random, sparse, zero or repeated, by a drawn kind.
+
+    Zero and repeated rows give dependent row sets, so some nonzero
+    combinations have product 0 (kernel fits) and some share a support.
+    """
+    rows = [rng.next_bits(cols) for _ in range(count)]
+    kind = rng.randbelow(4)
+    if kind == 1:
+        rows = [r & rng.next_bits(cols) & rng.next_bits(cols) for r in rows]
+    elif kind == 2:
+        rows = [0 if rng.randbelow(2) else r for r in rows]
+    elif kind == 3:
+        rows = [rows[rng.randbelow(i + 1)] for i in range(count)]
+    return rows
+
+
+class TestDimExceeds:
+    """`_dim_exceeds` against `_max_fit_dim(...) > floor` on the fits of real row products."""
+
+    def test_matches_max_fit_dim(self):
+        rng = SplitMix64(2727)
+        seen = set()
+        for _ in range(120):
+            m, cols = 1 + rng.randbelow(6), 1 + rng.randbelow(9)
+            rows = _random_rows(rng, m, cols)
+            products = [0] * (1 << m)
+            for x in range(1, 1 << m):
+                products[x] = products[x & (x - 1)] ^ rows[(x & -x).bit_length() - 1]
+            # budget 0 keeps only the kernel, budget cols + 1 keeps every fit
+            for budget in range(cols + 2):
+                fits = [(x, p) for x, p in enumerate(products) if x and p.bit_count() <= budget]
+                supports = [p for _, p in fits]
+                if 0 in supports:
+                    seen.add("kernel fit")
+                if len(set(supports)) < len(supports):
+                    seen.add("repeated support")
+                for floor in range(-1, 4):
+                    expected = _max_fit_dim(fits, budget, floor) > floor
+                    assert _dim_exceeds(fits, budget, floor) == expected, (rows, budget, floor)
+                    seen.add((floor, expected))
+        assert {"kernel fit", "repeated support", (0, False)} <= seen
+        assert {(1, True), (1, False), (2, True), (2, False), (3, True)} <= seen
+
+
+class TestExhaustiveAgainstRowCombinations:
+    """Every m and k against `row_combination_oracle`, on random and degenerate matrices.
+
+    Random shapes have up to 10 rows and 10 columns and at most 56 entries:
+    a full 10 x 10 takes seconds, mostly at m far above k, where nearly every
+    row combination fits the budget.  A matrix with no rows, one with every
+    other row zero, a zero matrix and one of equal rows cover empty and
+    dependent row sets.
+    """
+
+    @staticmethod
+    def _matrices():
+        rng = SplitMix64(2728)
+        half_zero = [w if i % 2 else 0 for i, w in enumerate(sample_matrix(8, 7, 2729).row_words)]
+        out = [
+            BitMatrix(0, 5, []),
+            BitMatrix(8, 8, [0] * 8),
+            BitMatrix(8, 7, half_zero),
+            BitMatrix(8, 7, [0b1011010] * 8),
+        ]
+        for s in range(50):
+            rows, cols = 1 + rng.randbelow(10), 1 + rng.randbelow(10)
+            while rows * cols > 56:
+                rows, cols = 1 + rng.randbelow(10), 1 + rng.randbelow(10)
+            out.append(sample_matrix(rows, cols, mix_seed(2728, s)))
+        return out
+
+    def test_every_m_and_k(self):
+        for matrix in self._matrices():
+            for m in range(matrix.rows + 1):
+                for k in range(matrix.cols + 1):
+                    assert min_submatrix_rank_exhaustive(matrix, m, k) == row_combination_oracle(
+                        matrix, m, k
+                    ), (matrix.row_words, matrix.cols, m, k)

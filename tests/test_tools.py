@@ -34,6 +34,22 @@ def test_minimizer_timing_imports_resolve():
     assert callable(namespace["main"])
 
 
+def test_minimizer_timing_loads_a_second_tree():
+    # the repo's own src, loaded as a second package: its modules are new
+    # objects, imported relatively from that tree, and give the same triple
+    import widthlab
+
+    namespace = runpy.run_path(str(TOOLS / "minimizer_timing.py"), run_name="tools")
+    src = Path(widthlab.__file__).resolve().parent.parent
+    other = namespace["load_tree"](src, "widthlab_tools_test")
+    assert other is not widthlab and other.gf2 is not widthlab.gf2
+    assert other.gf2.__name__ == "widthlab_tools_test.gf2"
+    matrix = widthlab.sample_matrix(9, 9, widthlab.mix_seed(1, 9, 0))
+    assert other.min_submatrix_rank_exhaustive(matrix, 3, 6) == (
+        widthlab.min_submatrix_rank_exhaustive(matrix, 3, 6)
+    )
+
+
 def test_knobs_are_exactly_the_pinned_list():
     # a new public default shows up in review as an edit to this list
     run = subprocess.run(
