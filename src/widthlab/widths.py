@@ -26,9 +26,11 @@ every bipartition once.  Two prunings leave g exact: a side with
 g[T] >= best cannot strictly improve the best split found so far, and the
 scan of S stops as soon as best <= f(S), because then g[S] = f(S) whatever
 c(S) is.  Early stops leave c(S) itself unknown, so the witness tree is
-rebuilt from the exact g afterwards, by a full ascending scan at each of the
-tree's own n - 2 internal nodes.  Ties between optimal splits resolve to
-the numerically smallest side, so the witness is deterministic.
+rebuilt from the exact g afterwards, by an ascending scan at each of the
+tree's own n - 2 internal nodes.  Where g[S] > f(S), g[S] is c(S), and the
+scan stops at the first side reaching it, the side the full scan keeps;
+elsewhere it runs to the end.  Ties between optimal splits resolve to the
+numerically smallest side, so the witness is deterministic.
 
 _subset_dp runs a table of at least 8 cells holding at most
 256 distinct values a popcount layer at a time (_layered_dp), one bit per
@@ -126,7 +128,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from typing import Callable, Iterable, Optional
 
 from .boolspace import _cut_bool_bits, cut_bool
@@ -420,19 +422,23 @@ def _rank_half_table(graph: Graph) -> list[float]:
     patterns = _bit_patterns(m)  # vertex i < m is in Y in the lanes whose bit i is set
     table = [0.0] * (1 << last)
     for c in range(1 << (last - m)):
-        inside = patterns + [ones if c >> t & 1 else 0 for t in range(last - m)] + [0]
+        inside = [*patterns, *[ones if c >> t & 1 else 0 for t in range(last - m)], 0]
         ranks = _lane_ranks(graph._adj, inside, ones)
         table[c << m : (c + 1) << m] = map(values.__getitem__, ranks)
     return table
 
 
-def _bit_patterns(m: int) -> list[int]:
+@cache
+def _bit_patterns(m: int) -> tuple[int, ...]:
     """For i < m, the int over 2^m bits whose bit y is set iff bit i of y is.
 
     Bit i of y repeats with period 2^(i+1), set in the upper 2^i of each.
+    Built once per m (m <= _LANE_BITS; 31 KB at m = 14).
     """
     ones = (1 << (1 << m)) - 1
-    return [ones // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1 << (1 << i)) for i in range(m)]
+    return tuple(
+        ones // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1 << (1 << i)) for i in range(m)
+    )
 
 
 def _lane_ranks(adj: tuple[int, ...], inside: list[int], ones: int) -> bytes:
@@ -582,7 +588,15 @@ def _exact_width(graph: Graph, f: CutFunction, f_half: list[float]) -> WidthResu
         return WidthResult(0.0, _trivial_tree(n), Cut(0, n))
     g = f_half[::2] + f_half[::-2]
     _subset_dp(g)
-    tree = _witness_tree(lambda s: _best_split(g, s >> 1)[1] << 1, n, 1)
+    half, full = len(f_half), (1 << n) - 1
+
+    def split(s: int) -> int:
+        # where g rose above f(S) it is c(S), and the scan may stop there
+        fs = f_half[s] if s < half else f_half[full ^ s]
+        gs = g[s >> 1]
+        return _best_split(g, s >> 1, gs if gs > fs else -math.inf)[1] << 1
+
+    tree = _witness_tree(split, n, 1)
     a, b = f_half[1], g[-1]
     return _verified(graph, f, a if a >= b else b, tree, f_half)
 
@@ -738,12 +752,15 @@ def _layered_dp(g: list[float], values: list[float]) -> None:
 def _best_split(g: list[float], s: int, stop: float = -math.inf) -> tuple[float, int]:
     """c(S) and the smallest side T realizing it, by an ascending scan of T.
 
-    T runs over the non-empty subsets of S without its top bit.  The scan
-    ends early at the first split whose value is <= stop.
+    T runs over the non-empty subsets of S without its top bit; if no split
+    is below +inf, the side is the first of them.  The scan ends early at
+    the first split whose value is <= stop.  With stop = c(S) that is the
+    first split reaching c(S), where the full scan's strictly improving best
+    settles, so the side is the full scan's.
     """
     rest = s ^ (1 << (s.bit_length() - 1))
     best = math.inf
-    side = 0
+    side = rest & -rest
     t = 0
     while True:
         t = (t - rest) & rest
@@ -870,7 +887,7 @@ def brute_force_f_width(graph: Graph, f: CutFunction) -> WidthResult:
                     width = v
                     if width >= best:
                         break
-        if width < best:
+        if width < best or best_edges is None:  # the first tree if every width is +inf
             best = width
             best_edges = [tuple(e) for e in edges]
 
@@ -904,26 +921,43 @@ def balanced_cut_lower_bound(
     return best, Cut(bits, n)
 
 
+# byte b -> b + 1: a block of popcounts, plus one
+_PLUS_ONE = bytes(range(1, 256)) + bytes(1)
+
+
 def _balanced_min(f_half: list[float]) -> tuple[float, int]:
     """The minimum of f over balanced sides and the first side attaining it.
 
     f_half is f's half table, so a side s holding vertex n - 1 reads
     f_half[full ^ s].  Sides run by size ascending, then in `combinations`
-    order; only a strict improvement replaces the best.
+    order, and the first side whose value equals the minimum is the one a
+    strictly improving scan keeps; it comes back with its own object.  The
+    minimum is taken first, in C, over the cells some balanced side reads:
+    cell s is read iff |s| or n - |s| lies in [ceil(n/3), floor(n/2)].  A
+    mask of those cells is built a chunk of 2^_LANE_BITS cells at a time,
+    translated from the chunk's popcounts: the block of the low bits'
+    popcounts, made by doubling, plus the chunk's own.
     """
     half = len(f_half)
     n = half.bit_length()
     full = (half << 1) - 1
+    lo, hi = (n + 2) // 3, n // 2
+    m = min(n - 1, _LANE_BITS)
+    counts = bytes(1)
+    for _ in range(m):
+        counts += counts.translate(_PLUS_ONE)
+    # read[p][k]: whether a cell of popcount p + k is read, p the chunk's own
+    read = [
+        bytes(lo <= p + k <= hi or lo <= n - p - k <= hi for k in range(256)) for p in range(n - m)
+    ]
+    masks = (counts.translate(read[c.bit_count()]) for c in range(half >> m))
+    low = min(compress(f_half, chain.from_iterable(masks)))
     vertex_bits = [1 << v for v in range(n)]
-    best = math.inf
-    best_bits = 0
-    for size in range((n + 2) // 3, n // 2 + 1):
+    for size in range(lo, hi + 1):
         for bits in map(sum, combinations(vertex_bits, size)):
             value = f_half[bits] if bits < half else f_half[full ^ bits]
-            if value < best:
-                best = value
-                best_bits = bits
-    return best, best_bits
+            if value == low:
+                return value, bits
 
 
 def rankwidth(graph: Graph) -> WidthResult:

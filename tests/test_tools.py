@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -48,6 +50,41 @@ def test_minimizer_timing_loads_a_second_tree():
     assert other.min_submatrix_rank_exhaustive(matrix, 3, 6) == (
         widthlab.min_submatrix_rank_exhaustive(matrix, 3, 6)
     )
+
+
+def test_fill_timing_rows_against_a_second_tree(capsys):
+    # the repo's own src, loaded as a second package through
+    # minimizer_timing.load_tree: each row alternates the two trees' calls,
+    # times both and compares their results; with one tree a row carries
+    # this tree's times alone
+    import widthlab
+
+    namespace = runpy.run_path(str(TOOLS / "fill_timing.py"), run_name="tools")
+    src = Path(widthlab.__file__).resolve().parent.parent
+    other = namespace["load_tree"](src, "widthlab_fill_timing_test")
+    trees = [namespace["_tree"](widthlab), namespace["_tree"](other)]
+    assert trees[1].rank is other.CUT_RANK_FUNCTION is not widthlab.CUT_RANK_FUNCTION
+    rows = [
+        namespace["_balanced_min_row"](trees, 9),
+        namespace["_witness_row"](trees, 9, "bool"),
+        namespace["_lb_row"](trees, 9),
+        namespace["_split_loop_row"](trees, 9, "rank"),
+        namespace["_half_table_row"](trees, 9, "rank"),
+    ]
+    for row in rows:
+        timed = [key[:-2] for key in row if key.endswith("_s") and "_against" not in key]
+        assert timed, row
+        for name in timed:
+            assert row[f"{name}_against_s"] > 0
+            assert row[f"{name}_ratio"] == round(row[f"{name}_s"] / row[f"{name}_against_s"], 3)
+    assert [row.get("same") for row in rows] == [True, True, True, None, None]
+    assert other.widths._witness_tree.__module__ == "widthlab_fill_timing_test.widths"
+    alone = namespace["_balanced_min_row"](trees[:1], 9)
+    assert set(alone) == {"layer", "n", "scan_s"}
+    with pytest.raises(SystemExit) as stop:
+        namespace["main"](["--help"])
+    assert stop.value.code == 0
+    assert "--against SRC" in capsys.readouterr().out
 
 
 def test_knobs_are_exactly_the_pinned_list():

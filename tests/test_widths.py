@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import random
 import re
 import sys
 import tracemalloc
@@ -1228,6 +1229,196 @@ class TestBalancedMinOnTheTable:
                     lb, cut = balanced_cut_lower_bound(g, f)
                     assert repr(lb) == repr(value), (n, f.name)
                     assert cut.bits == bits, (n, f.name)
+
+
+def table_scan_balanced_min(f_half):
+    """The balanced bound's scan before it took the minimum first: sides by
+    size ascending, then in `combinations` order, the first strict
+    improvement on +inf kept.  The oracle of _balanced_min, except on a
+    table that is +inf on every balanced side, where it keeps side 0."""
+    half = len(f_half)
+    n = half.bit_length()
+    full = (half << 1) - 1
+    vertex_bits = [1 << v for v in range(n)]
+    best = math.inf
+    best_bits = 0
+    for size in range((n + 2) // 3, n // 2 + 1):
+        for bits in map(sum, combinations(vertex_bits, size)):
+            value = f_half[bits] if bits < half else f_half[full ^ bits]
+            if value < best:
+                best = value
+                best_bits = bits
+    return best, best_bits
+
+
+def seeded_half_table(rng, n, kind):
+    """A half table on n vertices, 0 on the empty set, drawn from rng.
+
+    "ties": two or three small values; "mixed": ints 1-4 and their equal
+    floats; "graded": min(|s|, n - |s|) plus 0, 1/2 or 1, as an int or a
+    float where it is whole, so the DP's g rises above f; "inf": mixed
+    values with about a third of the cells +inf; "all-inf": +inf on every
+    non-empty set.
+    """
+    half = 1 << (n - 1)
+    if kind == "all-inf":
+        return [0] + [math.inf] * (half - 1)
+    if kind == "ties":
+        alphabet = rng.sample([1, 2, 3, 2.0], rng.choice([2, 3]))
+        cells = [rng.choice(alphabet) for _ in range(half)]
+    elif kind == "graded":
+        cells = []
+        for s in range(half):
+            k = min(s.bit_count(), n - s.bit_count()) + rng.choice([0, 0.5, 1])
+            cells.append(rng.choice([int, float])(k) if k == int(k) else k)
+    else:
+        alphabet = [1, 2, 3, 4, 1.0, 2.0, 3.0, 4.0]
+        cells = [rng.choice(alphabet) for _ in range(half)]
+        if kind == "inf":
+            cells = [math.inf if rng.random() < 0.35 else c for c in cells]
+    cells[0] = 0
+    return cells
+
+
+def table_function(low):
+    """The symmetric cut function whose half table is low: f(s) = low[s]
+    without the top vertex, low[full ^ s] with it."""
+    half = len(low)
+    full = 2 * half - 1
+    return CutFunction(
+        name="table",
+        evaluate=lambda g, c: low[c.bits] if c.bits < half else low[full ^ c.bits],
+    )
+
+
+class TestBalancedMinAgainstTheScan:
+    """_balanced_min takes the minimum over the cells a balanced side reads
+    first, then scans the sides only up to the first that reaches it; the
+    strictly improving scan of every balanced side is its oracle, for the
+    very object and the side.  A small _LANE_BITS splits even small tables
+    into several mask chunks."""
+
+    KINDS = ("ties", "mixed", "graded", "inf")
+
+    @pytest.mark.parametrize("lane_bits", [2, widths._LANE_BITS])
+    def test_seeded_tables(self, monkeypatch, lane_bits):
+        monkeypatch.setattr(widths, "_LANE_BITS", lane_bits)
+        rng = random.Random(2828)
+        for n in range(3, 15):
+            for kind in self.KINDS:
+                for _ in range(3 if n <= 10 else 1):
+                    low = seeded_half_table(rng, n, kind)
+                    value, bits = widths._balanced_min(low)
+                    ref_value, ref_bits = table_scan_balanced_min(low)
+                    assert value is ref_value, (n, kind)
+                    assert bits == ref_bits, (n, kind)
+
+    def test_rank_tables_past_one_chunk(self):
+        # at n = 16 and 17 the table spans two and four chunks of 2^14 cells
+        rng = SplitMix64(2929)
+        for n in (15, 16, 17):
+            low = _half_table(sample_gnp_half(n, rng.next_word()), CUT_RANK_FUNCTION)
+            value, bits = widths._balanced_min(low)
+            ref_value, ref_bits = table_scan_balanced_min(low)
+            assert value is ref_value and bits == ref_bits, n
+
+    def test_all_infinite_tables_take_the_first_side(self):
+        # the one difference: the old scan never improved on +inf and kept
+        # side 0, which is not balanced
+        for n in range(3, 12):
+            low = seeded_half_table(None, n, "all-inf")
+            assert widths._balanced_min(low) == (math.inf, (1 << (n + 2) // 3) - 1)
+            assert table_scan_balanced_min(low) == (math.inf, 0)
+
+
+class TestStoppedWitnessScan:
+    """The witness rebuild stops each node's scan at g[S] where the DP
+    raised g[S] above f(S), since g[S] is then c(S).  At every non-singleton
+    set the split rule that _exact_width hands _witness_tree must give the
+    side of the full scan, _best_split(g, S)[1]."""
+
+    @staticmethod
+    def check(monkeypatch, graph, f):
+        """Sets checked and sets whose scan stops at g[S], for one engine call."""
+        rules = []
+        build = widths._witness_tree
+        monkeypatch.setattr(widths, "_witness_tree", lambda *a: rules.append(a[0]) or build(*a))
+        exact_f_width(graph, f)
+        monkeypatch.setattr(widths, "_witness_tree", build)
+        (split,) = rules
+        low = _half_table(graph, f)
+        f_leaf = low[::2] + low[::-2]
+        g = list(f_leaf)
+        _subset_dp(g)
+        stops = 0
+        for s in range(3, len(g)):
+            if s & (s - 1):
+                assert split(s << 1) == _best_split(g, s)[1] << 1, (graph.n, f.name, s)
+                stops += g[s] > f_leaf[s]
+        return len(g) - graph.n, stops
+
+    def test_builtins_on_random_graphs(self, monkeypatch):
+        rng = SplitMix64(3030)
+        checked = stops = 0
+        for n in range(4, 13):
+            for _ in range(6):
+                g = sample_gnp_half(n, rng.next_word())
+                for f in (CUT_RANK_FUNCTION, CUT_BOOL_FUNCTION):
+                    a, b = self.check(monkeypatch, g, f)
+                    checked, stops = checked + a, stops + b
+        assert stops > checked // 50
+
+    def test_seeded_user_tables(self, monkeypatch):
+        rng = random.Random(3131)
+        checked = stops = 0
+        for n in range(4, 13):
+            for kind in ("ties", "mixed", "graded"):
+                for _ in range(4):
+                    f = table_function(seeded_half_table(rng, n, kind))
+                    a, b = self.check(monkeypatch, empty_graph(n), f)
+                    checked, stops = checked + a, stops + b
+        assert stops > checked // 20
+
+
+INF_OFF_THE_EMPTY_SIDE = CutFunction(
+    name="inf",
+    evaluate=lambda g, c: 0.0 if c.bits in (0, (1 << g.n) - 1) else math.inf,
+)
+
+
+class TestInfiniteOnEveryCut:
+    """A cut function that is +inf on every non-trivial cut passes the
+    symmetry audit, and each engine returns +inf with the first candidate
+    in its own order: a witness tree that re-evaluates to +inf, and a
+    balanced side."""
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_exact_width(self, n):
+        g = cycle_graph(n)
+        res = exact_f_width(g, INF_OFF_THE_EMPTY_SIDE)
+        assert res.value == math.inf
+        assert res.witness_tree.n_leaves == n
+        assert tree_width_under(g, res.witness_tree, INF_OFF_THE_EMPTY_SIDE).value == math.inf
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_brute_force(self, n):
+        g = cycle_graph(n)
+        res = brute_force_f_width(g, INF_OFF_THE_EMPTY_SIDE)
+        assert res.value == math.inf
+        assert tree_width_under(g, res.witness_tree, INF_OFF_THE_EMPTY_SIDE).value == math.inf
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_balanced_bound(self, n):
+        value, cut = balanced_cut_lower_bound(cycle_graph(n), INF_OFF_THE_EMPTY_SIDE)
+        assert value == math.inf
+        assert (n + 2) // 3 <= cut.size <= n // 2
+        assert cut.bits == (1 << (n + 2) // 3) - 1
+
+    def test_best_split_takes_the_first_side(self):
+        g = [0] + [math.inf] * 15
+        for s in range(3, 16):
+            if s & (s - 1):
+                assert _best_split(g, s) == (math.inf, s & -s)
 
 
 class TestNoReferenceCycles:
